@@ -56,6 +56,15 @@ void write_buffer(std::ostream& out, std::span<const T> data) {
   for (const T& v : data) write_pod<double>(out, static_cast<double>(v));
 }
 
+// The truncated-file error unless rows x cols doubles are left in the
+// stream; checked before allocating from counts the file supplied (by
+// division, so a hostile count cannot overflow).
+inline void check_doubles_left(std::istream& in, std::uint64_t rows,
+                               std::uint64_t cols) {
+  const std::uint64_t left = bytes_left(in) / sizeof(double);
+  AGNN_ASSERT(cols == 0 || rows <= left / cols, "model file truncated");
+}
+
 template <typename T>
 void read_buffer(std::istream& in, std::span<T> data) {
   const auto size = read_pod<std::int64_t>(in);
@@ -106,6 +115,7 @@ GnnModel<T> load_model(std::istream& in, const std::string& what) {
   GnnConfig cfg;
   cfg.kind = static_cast<ModelKind>(detail::read_pod<std::int64_t>(in));
   cfg.in_features = detail::read_pod<std::int64_t>(in);
+  AGNN_ASSERT(cfg.in_features > 0, "model file: bad feature count");
   const auto layers = detail::read_pod<std::int64_t>(in);
   AGNN_ASSERT(layers > 0 && layers < 1024, "model file: bad layer count");
   cfg.hidden_activation =
@@ -129,13 +139,16 @@ GnnModel<T> load_model(std::istream& in, const std::string& what) {
     LayerBlob blob;
     blob.width = detail::read_pod<std::int64_t>(in);
     AGNN_ASSERT(blob.width > 0, "model file: bad layer width");
+    const auto width = static_cast<std::uint64_t>(blob.width);
+    detail::check_doubles_left(in, static_cast<std::uint64_t>(k_in), width);
     blob.w.resize(static_cast<std::size_t>(k_in * blob.width));
     detail::read_buffer<T>(in, blob.w);
     const auto a_size = (cfg.kind == ModelKind::kGAT) ? 2 * blob.width : 0;
     blob.a.resize(static_cast<std::size_t>(a_size));
     detail::read_buffer<T>(in, blob.a);
-    const auto w2_size =
-        (cfg.kind == ModelKind::kGIN) ? blob.width * blob.width : 0;
+    const bool gin = cfg.kind == ModelKind::kGIN;
+    if (gin) detail::check_doubles_left(in, width, width);
+    const auto w2_size = gin ? blob.width * blob.width : 0;
     blob.w2.resize(static_cast<std::size_t>(w2_size));
     detail::read_buffer<T>(in, blob.w2);
     cfg.layer_widths.push_back(blob.width);
@@ -225,6 +238,7 @@ CheckpointMeta load_checkpoint(const std::string& path, GnnModel<T>& model,
   meta.epoch = detail::read_pod<std::int64_t>(in);
   const auto state_size = detail::read_pod<std::int64_t>(in);
   AGNN_ASSERT(state_size >= 0, "checkpoint: bad optimizer state size");
+  detail::check_doubles_left(in, static_cast<std::uint64_t>(state_size), 1);
   std::vector<double> state(static_cast<std::size_t>(state_size));
   for (double& v : state) v = detail::read_pod<double>(in);
   if (opt_state != nullptr) *opt_state = std::move(state);

@@ -38,6 +38,9 @@ EdgeList read_edge_list(const std::string& path) {
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   in.read(reinterpret_cast<char*>(&nnz), sizeof(nnz));
   AGNN_ASSERT(in.good() && n >= 0 && nnz >= 0, "corrupt header in: " + path);
+  AGNN_ASSERT(static_cast<std::uint64_t>(nnz) <=
+                  detail::bytes_left(in) / (2 * sizeof(index_t)),
+              "truncated graph file: " + path);
   el.n = n;
   el.src.resize(static_cast<std::size_t>(nnz));
   el.dst.resize(static_cast<std::size_t>(nnz));

@@ -6,8 +6,8 @@
 // first grid row/rank a disproportionate share of the edges. A random
 // shuffle rebalances the 2D blocks; degree-descending order does the
 // opposite (worst case) and is useful for stress-testing load imbalance.
-// RCM clusters each vertex's neighbors nearby, which is what the blocked
-// formats (tensor/format.hpp) want: tighter column ranges per row chunk.
+// RCM clusters each vertex's neighbors nearby: tighter column ranges per
+// row chunk.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +27,8 @@ using Permutation = std::vector<index_t>;
 // Bijection check in O(n) with no steady-state allocation: the scratch is an
 // epoch-stamped thread_local buffer (grown to the high-water mark, never
 // cleared — a stale stamp from a previous epoch reads as "unseen"). The
-// permute_* helpers below run in the reorder × format sweep's hot loop, so
-// a fresh vector<bool> per call was a measurable allocation leak; the
+// permute_* helpers below run in benchmark hot loops, so a fresh
+// vector<bool> per call was a measurable allocation leak; the
 // zero-allocation audit in test_schedule.cpp now covers this path.
 inline void validate_permutation(const Permutation& perm, index_t n) {
   AGNN_ASSERT(static_cast<index_t>(perm.size()) == n, "permutation size mismatch");
@@ -83,7 +83,7 @@ Permutation degree_descending_permutation(const CsrMatrix<T>& adj) {
 // component, visiting neighbors in ascending-degree order (ties by id), then
 // reverse the visit order. Produces a low-bandwidth ordering on (near-)
 // symmetric adjacencies — neighbor columns cluster near the diagonal, which
-// shrinks the gather footprint of the blocked SpMM kernels. Deterministic:
+// shrinks the gather footprint of the SpMM kernels. Deterministic:
 // no randomness, all ties broken by vertex id. Treats adj's rows as the
 // neighbor lists (graph CSRs here are symmetrized; on a directed matrix
 // this orders by out-neighbors only).

@@ -1,9 +1,9 @@
 // HDR-style log-bucketed latency/size histogram.
 //
 // The obs/ layer so far reports only counters and gauges — totals and
-// last-writes. The serving and autotuning work (ROADMAP items 1 and 4)
-// needs *distributions*: p50 tells you what a user sees, p999 tells you
-// what the slowest shard sees, and neither is recoverable from a sum.
+// last-writes. The serving work needs *distributions*: p50 tells you what
+// a user sees, p999 tells you what the slowest shard sees, and neither is
+// recoverable from a sum.
 //
 // Bucketing (the HdrHistogram log-linear scheme, fixed at compile time):
 //

@@ -217,7 +217,6 @@ class TraceReport {
     double ipc = 0;
     double cache_miss_rate = 0;
     bool has_perf = false;
-    std::string tuned;  // autotuner decision ("row/csr/g1024"), "" if untuned
 
     double gbps() const {
       return wall_seconds > 0
@@ -225,26 +224,6 @@ class TraceReport {
                  : 0.0;
     }
   };
-
-  // Inverse of agnn::encode_tuned_choice (tensor/autotune.hpp): the tuner
-  // exports its decision through the tune.<kernel>.choice gauge as
-  // policy*10000 + format*1000 + bit_width(grain) so the obs layer can
-  // render it without a tensor-layer dependency. The enum integer values are
-  // part of that contract; Autotune.ChoiceEncodingRoundTrips pins it.
-  static std::string decode_tuned_choice(double encoded) {
-    const int code = static_cast<int>(encoded);
-    if (code <= 0) return "";
-    static constexpr const char* kPolicies[] = {"?", "row", "edge", "hybrid"};
-    static constexpr const char* kFormats[] = {"csr", "sell", "bcsr"};
-    const int p = code / 10000;
-    const int f = (code / 1000) % 10;
-    const int gbits = code % 1000;
-    if (p < 1 || p > 3 || f < 0 || f > 2 || gbits < 1 || gbits > 62) {
-      return "?";
-    }
-    return std::string(kPolicies[p]) + "/" + kFormats[f] + "/g" +
-           std::to_string(std::uint64_t(1) << (gbits - 1));
-  }
 
   static std::vector<KernelRow> build_kernels(
       std::vector<TraceEvent> events,
@@ -312,9 +291,6 @@ class TraceReport {
       if (const Gauge* g = reg.find_gauge(p + ".cache_miss_rate")) {
         r.cache_miss_rate = g->value();
       }
-      if (const Gauge* g = reg.find_gauge("tune." + name + ".choice")) {
-        r.tuned = decode_tuned_choice(g->value());
-      }
       out.push_back(std::move(r));
     }
     return out;
@@ -327,8 +303,7 @@ class TraceReport {
     os << std::left << std::setw(24) << "kernel" << std::right
        << std::setw(8) << "calls" << std::setw(11) << "wall_ms"
        << std::setw(11) << "MB" << std::setw(9) << "GB/s"
-       << std::setw(7) << "IPC" << std::setw(10) << "cache_mr"
-       << std::setw(18) << "tuned" << "\n";
+       << std::setw(7) << "IPC" << std::setw(10) << "cache_mr" << "\n";
     for (const auto& r : rows) {
       os << std::left << std::setw(24) << r.name << std::right
          << std::setw(8) << r.calls << std::setw(11) << std::fixed
@@ -341,7 +316,7 @@ class TraceReport {
       } else {
         os << std::setw(7) << "-" << std::setw(10) << "-";
       }
-      os << std::setw(18) << (r.tuned.empty() ? "-" : r.tuned) << "\n";
+      os << "\n";
     }
   }
 

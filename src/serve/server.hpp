@@ -36,7 +36,7 @@
 #include "serve/batch_forward.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/vertex_cache.hpp"
-#include "tensor/autotune.hpp"
+#include "tensor/schedule.hpp"
 
 namespace agnn::serve {
 
@@ -49,10 +49,6 @@ struct ServeConfig {
   std::uint64_t sample_seed = 0x5eedULL;  // base; per-request via request id
   std::size_t cache_capacity = 1024;      // feature rows
   std::size_t cache_shards = 8;
-  // When AGNN_TUNE is live, run representative forward passes at
-  // construction so the autotuner samples once at warmup, then freeze it —
-  // request latency never pays a sampling stall (tensor/autotune.hpp).
-  bool warmup_tuning = true;
 };
 
 template <typename T>
@@ -81,15 +77,10 @@ class InferenceServer {
                 "InferenceServer: feature rows must match graph");
     AGNN_ASSERT(x.cols() == model.config().in_features,
                 "InferenceServer: feature width must match model");
-    // Tune-at-warmup, then freeze: sampling happens here, on representative
-    // batch subgraphs, never on the request path. tune_mode_from_env() is
-    // strict and may throw — better at construction than mid-request.
-    if (config.warmup_tuning && adj_.rows() > 0 &&
-        tune_mode_from_env() != TuneMode::kOff) {
-      warmup_tune();
-      tune_freeze();
-      frozen_by_us_ = true;
-    }
+    // The schedule knobs are strict and may throw — better at construction
+    // than on a worker thread mid-request.
+    schedule_policy_from_env();
+    schedule_grain_from_env();
     workers_.reserve(config.num_threads);
     for (std::size_t i = 0; i < config.num_threads; ++i) {
       workers_.emplace_back([this] { worker_loop(); });
@@ -149,10 +140,6 @@ class InferenceServer {
       if (w.joinable()) w.join();
     }
     workers_.clear();
-    if (frozen_by_us_) {
-      tune_unfreeze();
-      frozen_by_us_ = false;
-    }
   }
 
   const ServeConfig& config() const { return config_; }
@@ -182,46 +169,6 @@ class InferenceServer {
     reply.vertex = vertex;
     reply.status = status;
     return reply;
-  }
-
-  // One representative batch forward so every kernel the request path will
-  // run gets its (kernel, signature) cell sampled and memoized while nothing
-  // is latency-sensitive yet. Counted in serve.warmup_tunes (the serving
-  // test asserts it fires exactly once and that tune.samples is flat across
-  // subsequent requests). Vertices are spread across the graph and sampled
-  // with the same id-derived seeds the first real requests would use, so the
-  // warmup subgraph signatures match the request-path ones. Features are
-  // gathered straight from x_, bypassing the vertex cache — warmup must not
-  // skew the cache hit-rate metrics.
-  void warmup_tune() {
-    AGNN_STAGE_SCOPE("serve.warmup_tune");
-    obs::MetricsRegistry::global().counter("serve.warmup_tunes").add(1);
-    Workspace<T> ws;
-    const std::size_t nwarm =
-        std::min<std::size_t>(std::max<std::size_t>(config_.max_batch, 1), 4);
-    std::vector<SampledEgoNet<T>> nets;
-    nets.reserve(nwarm);
-    for (std::size_t i = 0; i < nwarm; ++i) {
-      const index_t v = static_cast<index_t>(
-          (i * static_cast<std::size_t>(adj_.rows())) / nwarm);
-      nets.push_back(sampler_.template sample_for_request<T>(
-          adj_, v, static_cast<std::uint64_t>(i)));
-    }
-    std::vector<const SampledEgoNet<T>*> net_ptrs;
-    net_ptrs.reserve(nets.size());
-    for (const auto& net : nets) net_ptrs.push_back(&net);
-    const BatchBlocks<T> bb =
-        build_batch(std::span<const SampledEgoNet<T>* const>(net_ptrs));
-    auto x0 = ws.acquire_dense(static_cast<index_t>(bb.input_vertices.size()),
-                               x_.cols());
-    for (std::size_t i = 0; i < bb.input_vertices.size(); ++i) {
-      const auto row = x_.row(bb.input_vertices[i]);
-      std::copy(row.begin(), row.end(),
-                x0->data() + static_cast<index_t>(i) * x_.cols());
-    }
-    auto out = ws.acquire_dense(static_cast<index_t>(nwarm),
-                                model_.max_layer_width());
-    forward_batch(model_, bb, *x0, ws, *out);
   }
 
   void worker_loop() {
@@ -324,7 +271,6 @@ class InferenceServer {
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> dispatch_seq_{0};
   std::atomic<std::uint64_t> completed_{0};
-  bool frozen_by_us_ = false;  // this server holds one tune_freeze() level
   std::vector<std::thread> workers_;
 };
 

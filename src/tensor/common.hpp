@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 #include <stdexcept>
 #include <string>
 
@@ -34,6 +35,19 @@ namespace detail {
   std::string what = std::string("AGNN assertion failed: ") + cond + " (" +
                      msg + ") at " + file + ":" + std::to_string(line);
   throw std::logic_error(what);
+}
+
+// Bytes between a seekable stream's read position and its end. Decoders
+// check each count read from a file against this before allocating from it,
+// so a corrupt or hostile header cannot drive an allocation.
+inline std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  AGNN_ASSERT(here != std::istream::pos_type(-1) && end >= here && in.good(),
+              "bytes_left: stream is not seekable");
+  return static_cast<std::uint64_t>(end - here);
 }
 
 }  // namespace detail

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <span>
@@ -21,16 +20,6 @@ namespace agnn {
 
 // Defined in tensor/schedule.hpp; the CSR only carries an opaque cache slot.
 class KernelSchedule;
-
-// Defined in tensor/sell_matrix.hpp / tensor/bcsr_matrix.hpp; like the
-// schedule, the CSR only carries opaque cache slots for its blocked-format
-// conversions. The cached objects are pattern-only (kernels read values
-// through their src() maps from the live CSR value array), so in-place value
-// mutation via vals_mutable() never makes them stale.
-template <typename U>
-class SellCSigmaMatrix;
-template <typename U>
-class BcsrMatrix;
 
 template <typename T>
 class CsrMatrix {
@@ -50,7 +39,7 @@ class CsrMatrix {
         row_ptr_(o.row_ptr_),
         col_idx_(o.col_idx_),
         vals_(o.vals_) {
-    copy_caches_from(o);
+    copy_schedule_from(o);
   }
 
   CsrMatrix& operator=(const CsrMatrix& o) {
@@ -60,7 +49,7 @@ class CsrMatrix {
       row_ptr_ = o.row_ptr_;
       col_idx_ = o.col_idx_;
       vals_ = o.vals_;
-      copy_caches_from(o);
+      copy_schedule_from(o);
     }
     return *this;
   }
@@ -71,7 +60,7 @@ class CsrMatrix {
         row_ptr_(std::move(o.row_ptr_)),
         col_idx_(std::move(o.col_idx_)),
         vals_(std::move(o.vals_)) {
-    copy_caches_from(o);
+    copy_schedule_from(o);
   }
 
   CsrMatrix& operator=(CsrMatrix&& o) noexcept {
@@ -81,7 +70,7 @@ class CsrMatrix {
       row_ptr_ = std::move(o.row_ptr_);
       col_idx_ = std::move(o.col_idx_);
       vals_ = std::move(o.vals_);
-      copy_caches_from(o);
+      copy_schedule_from(o);
     }
     return *this;
   }
@@ -273,72 +262,22 @@ class CsrMatrix {
   // --- kernel-schedule cache (tensor/schedule.hpp) -----------------------
   // The schedule is a pure function of the sparsity pattern plus the
   // requested (policy, grain); schedule_for() compares those and rebuilds on
-  // mismatch. Mutating the pattern in place must invalidate the slots —
-  // today transposed_into is the only such path. The slots are mutable: a
-  // const matrix shared by rank threads still caches its schedules.
-  //
-  // One slot per *requested* policy (auto/row/edge/hybrid, indexed by the
-  // SchedulePolicy integer value): the autotuner legitimately asks for
-  // different concrete policies for different kernels on the same matrix,
-  // and a single slot would thrash — every alternation pays the O(n + nnz)
-  // rebuild. KernelSchedule is only forward-declared here, so the slot index
-  // arrives as a plain int from schedule_for().
-  static constexpr int kScheduleCacheSlots = 4;
-  std::shared_ptr<const KernelSchedule> cached_schedule(int slot) const {
-    return schedule_cache_[static_cast<std::size_t>(slot)].load(
-        std::memory_order_acquire);
-  }
-  // No-slot probe: any cached schedule (the stats it carries are a pure
-  // pattern function, identical across slots).
+  // mismatch. Mutating the pattern in place must invalidate the slot —
+  // today transposed_into is the only such path. The slot is mutable: a
+  // const matrix shared by rank threads still caches its schedule.
   std::shared_ptr<const KernelSchedule> cached_schedule() const {
-    for (const auto& s : schedule_cache_) {
-      if (auto p = s.load(std::memory_order_acquire)) return p;
-    }
-    return nullptr;
+    return schedule_cache_.load(std::memory_order_acquire);
   }
-  void cache_schedule(std::shared_ptr<const KernelSchedule> s,
-                      int slot = 0) const {
-    schedule_cache_[static_cast<std::size_t>(slot)].store(
-        std::move(s), std::memory_order_release);
+  void cache_schedule(std::shared_ptr<const KernelSchedule> s) const {
+    schedule_cache_.store(std::move(s), std::memory_order_release);
   }
   void invalidate_schedule_cache() const {
-    for (auto& s : schedule_cache_) {
-      s.store(nullptr, std::memory_order_release);
-    }
-    invalidate_format_cache();
-  }
-
-  // --- blocked-format cache (tensor/format.hpp) --------------------------
-  // Pattern-only SELL-C-σ / BCSR conversions, built lazily by sell_for() /
-  // bcsr_for(). Same lifecycle as the schedule cache: pure functions of the
-  // sparsity pattern, shared across copies, invalidated when the pattern is
-  // rebuilt in place. Value mutation needs no invalidation — the cached
-  // objects carry no values (kernels read via src() from the live CSR).
-  std::shared_ptr<const SellCSigmaMatrix<T>> cached_sell() const {
-    return sell_cache_.load(std::memory_order_acquire);
-  }
-  void cache_sell(std::shared_ptr<const SellCSigmaMatrix<T>> s) const {
-    sell_cache_.store(std::move(s), std::memory_order_release);
-  }
-  std::shared_ptr<const BcsrMatrix<T>> cached_bcsr() const {
-    return bcsr_cache_.load(std::memory_order_acquire);
-  }
-  void cache_bcsr(std::shared_ptr<const BcsrMatrix<T>> b) const {
-    bcsr_cache_.store(std::move(b), std::memory_order_release);
-  }
-  void invalidate_format_cache() const {
-    sell_cache_.store(nullptr, std::memory_order_release);
-    bcsr_cache_.store(nullptr, std::memory_order_release);
+    schedule_cache_.store(nullptr, std::memory_order_release);
   }
 
  private:
-  void copy_caches_from(const CsrMatrix& o) {
-    for (int slot = 0; slot < kScheduleCacheSlots; ++slot) {
-      schedule_cache_[static_cast<std::size_t>(slot)].store(
-          o.cached_schedule(slot), std::memory_order_release);
-    }
-    sell_cache_.store(o.cached_sell(), std::memory_order_release);
-    bcsr_cache_.store(o.cached_bcsr(), std::memory_order_release);
+  void copy_schedule_from(const CsrMatrix& o) {
+    schedule_cache_.store(o.cached_schedule(), std::memory_order_release);
   }
 
   index_t n_rows_ = 0;
@@ -346,11 +285,7 @@ class CsrMatrix {
   std::vector<index_t> row_ptr_{0};
   std::vector<index_t> col_idx_;
   std::vector<T> vals_;
-  mutable std::array<std::atomic<std::shared_ptr<const KernelSchedule>>,
-                     kScheduleCacheSlots>
-      schedule_cache_{};
-  mutable std::atomic<std::shared_ptr<const SellCSigmaMatrix<T>>> sell_cache_{};
-  mutable std::atomic<std::shared_ptr<const BcsrMatrix<T>>> bcsr_cache_{};
+  mutable std::atomic<std::shared_ptr<const KernelSchedule>> schedule_cache_{};
 };
 
 }  // namespace agnn

@@ -19,12 +19,9 @@
 #include <vector>
 
 #include "obs/obs_scope.hpp"
-#include "tensor/autotune.hpp"
-#include "tensor/blocked_ops.hpp"
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_ops.hpp"
-#include "tensor/format.hpp"
 #include "tensor/sparse_ops.hpp"
 
 namespace agnn {
@@ -78,8 +75,7 @@ void psi_agnn(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   auto v = out.vals_mutable();
   const index_t k = h.cols();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("psi_agnn", a, k,
-                                         TuneProxy::kSddmmLike, sched, owned);
+  sched = detail::resolve_schedule(a, sched, owned);
   detail::scheduled_rows(*sched, a, [&](index_t i, index_t b, index_t e) {
     const T* hi = h.data() + i * k;
     const T ni = norms[static_cast<std::size_t>(i)];
@@ -139,8 +135,7 @@ void psi_gat(const CsrMatrix<T>& a, std::span<const T> s1, std::span<const T> s2
   auto pre = scores_pre.vals_mutable();
   auto act = psi.vals_mutable();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("psi_gat", a, 1,
-                                         TuneProxy::kRowPassLike, sched, owned);
+  sched = detail::resolve_schedule(a, sched, owned);
   detail::scheduled_rows(*sched, a, [&](index_t i, index_t b, index_t e) {
     const T s1i = s1[static_cast<std::size_t>(i)];
     for (index_t t = b; t < e; ++t) {
@@ -189,18 +184,9 @@ void fused_va_aggregate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.cols() == x.rows(), "fused_va: aggregation input shape");
   AGNN_ASSERT(&out != &h && &out != &x, "fused_va: output cannot alias an input");
   const index_t n = a.rows(), k = h.cols(), kx = x.cols();
-  // Format + schedule resolution (autotune.hpp; bitwise-invisible, see
-  // blocked_ops.hpp).
   std::shared_ptr<const KernelSchedule> owned;
-  const detail::ResolvedDispatch rd = detail::resolve_dispatch(
-      "fused_va_aggregate", a, kx, TuneProxy::kSpmmLike, /*supports_sell=*/true,
-      /*supports_bcsr=*/false, sched, owned);
-  if (rd.format == SparseFormat::kSell) {
-    sell_fused_va_aggregate(*sell_for(a), a.vals(), h, x, out);
-    return;
-  }
+  sched = detail::resolve_schedule(a, sched, owned);
   out.resize(n, kx);
-  sched = rd.sched;
   if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
     for (index_t i = 0; i < n; ++i) {
@@ -288,19 +274,10 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
   AGNN_ASSERT(a.cols() == x.rows(), "fused_gat: aggregation input shape");
   AGNN_ASSERT(&out != &x, "fused_gat: output cannot alias an input");
   const index_t n = a.rows(), kx = x.cols();
-  // Format + schedule resolution (autotune.hpp; bitwise-invisible, see
-  // blocked_ops.hpp).
   std::shared_ptr<const KernelSchedule> owned;
-  const detail::ResolvedDispatch rd = detail::resolve_dispatch(
-      "fused_gat_aggregate", a, kx, TuneProxy::kSpmmLike,
-      /*supports_sell=*/true, /*supports_bcsr=*/false, sched, owned);
-  if (rd.format == SparseFormat::kSell) {
-    sell_fused_gat_aggregate(*sell_for(a), a.vals(), s1, s2, leaky_slope, x, out);
-    return;
-  }
+  sched = detail::resolve_schedule(a, sched, owned);
   out.resize(n, kx);
   out.fill(T(0));
-  sched = rd.sched;
   // The per-row score buffer: rows in whole-row chunks are never larger than
   // the split threshold, so this stays small and is reused across calls.
   auto row_body = [&](index_t i, index_t b, index_t e) {

@@ -37,15 +37,22 @@
 // Env knobs (read per kernel invocation, so tests can flip them):
 //   AGNN_SCHEDULE       = auto | row | edge | hybrid   (default auto)
 //   AGNN_SCHEDULE_GRAIN = edges per chunk              (default 1024)
+// Unset or empty means the default; any other unknown value throws
+// std::logic_error naming the variable — a typo that silently fell back to
+// the default would make a sweep leg measure the wrong policy.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -94,12 +101,21 @@ inline bool parse_schedule_policy(std::string_view s, SchedulePolicy& out) {
 }
 
 inline constexpr index_t kDefaultScheduleGrain = 1024;
+// The schedule builders and the auto rule compute 4 * grain; the cap keeps
+// that product in range.
+inline constexpr index_t kMaxScheduleGrain =
+    std::numeric_limits<index_t>::max() / 4;
 
 inline SchedulePolicy schedule_policy_from_env() {
   const char* e = std::getenv("AGNN_SCHEDULE");
   if (e == nullptr) return SchedulePolicy::kAuto;
   SchedulePolicy p = SchedulePolicy::kAuto;
-  if (!parse_schedule_policy(e, p)) return SchedulePolicy::kAuto;
+  if (!parse_schedule_policy(e, p)) {
+    throw std::logic_error(
+        std::string("AGNN_SCHEDULE: unknown policy '") + e +
+        "' (expected auto, row, edge, hybrid, row_parallel, edge_balanced "
+        "or hybrid_binned)");
+  }
   return p;
 }
 
@@ -107,8 +123,14 @@ inline index_t schedule_grain_from_env() {
   const char* e = std::getenv("AGNN_SCHEDULE_GRAIN");
   if (e == nullptr || *e == '\0') return kDefaultScheduleGrain;
   char* end = nullptr;
-  const long v = std::strtol(e, &end, 10);
-  if (end == e || *end != '\0' || v <= 0) return kDefaultScheduleGrain;
+  errno = 0;
+  const long long v = std::strtoll(e, &end, 10);
+  if (end == e || *end != '\0' || errno == ERANGE || v <= 0 ||
+      v > kMaxScheduleGrain) {
+    throw std::logic_error(std::string("AGNN_SCHEDULE_GRAIN: invalid grain '") +
+                           e + "' (expected an integer in [1, " +
+                           std::to_string(kMaxScheduleGrain) + "])");
+  }
   return static_cast<index_t>(v);
 }
 
@@ -395,25 +417,22 @@ inline void schedule_built_mark(const KernelSchedule& s) {
 
 // The cached accessor used by every kernel when no explicit schedule is
 // passed: returns the schedule cached on the CSR when it matches the
-// requested (policy, grain), rebuilding and re-caching otherwise. One cache
-// slot per requested policy, so the autotuner asking for different policies
-// for different kernels on the same matrix never thrashes a rebuild. Safe to
-// call from concurrent rank threads sharing one CsrMatrix — each cache slot
+// requested (policy, grain), rebuilding and re-caching otherwise. Safe to
+// call from concurrent rank threads sharing one CsrMatrix — the cache slot
 // is an atomic shared_ptr, and a lost race just builds the same schedule
 // twice.
 template <typename T>
 std::shared_ptr<const KernelSchedule> schedule_for(const CsrMatrix<T>& a,
                                                    SchedulePolicy requested,
                                                    index_t grain) {
-  const int slot = static_cast<int>(requested);
-  auto cached = a.cached_schedule(slot);
+  auto cached = a.cached_schedule();
   if (cached && cached->requested() == requested && cached->grain() == grain) {
     return cached;
   }
   auto built = std::make_shared<const KernelSchedule>(
       KernelSchedule::build(a.row_ptr(), requested, grain));
   detail::schedule_built_mark(*built);
-  a.cache_schedule(built, slot);
+  a.cache_schedule(built);
   return built;
 }
 
@@ -423,6 +442,18 @@ std::shared_ptr<const KernelSchedule> schedule_for(const CsrMatrix<T>& a) {
 }
 
 namespace detail {
+
+// Every scheduled kernel's dispatch: an explicit schedule wins, otherwise the
+// env-driven one cached on the matrix. `owned` keeps the cached schedule
+// alive for the duration of the call.
+template <typename T>
+inline const KernelSchedule* resolve_schedule(
+    const CsrMatrix<T>& a, const KernelSchedule* sched,
+    std::shared_ptr<const KernelSchedule>& owned) {
+  if (sched != nullptr) return sched;
+  owned = schedule_for(a);
+  return owned.get();
+}
 
 // Edge-parallel driver: visits every (row, edge-subrange) of `a` exactly
 // once, in parallel. Kernels whose per-edge writes are independent (SDDMM,

@@ -19,30 +19,12 @@
 #endif
 
 #include "obs/obs_scope.hpp"
-#include "tensor/autotune.hpp"
-#include "tensor/blocked_ops.hpp"
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_ops.hpp"
-#include "tensor/format.hpp"
 #include "tensor/schedule.hpp"
 
 namespace agnn {
-
-namespace detail {
-
-// Resolve an optional explicit schedule against the env-driven cached one.
-// Kernels hold the returned shared_ptr alive for the duration of the call.
-template <typename T>
-inline const KernelSchedule* resolve_schedule(
-    const CsrMatrix<T>& a, const KernelSchedule* sched,
-    std::shared_ptr<const KernelSchedule>& owned) {
-  if (sched != nullptr) return sched;
-  owned = schedule_for(a);
-  return owned.get();
-}
-
-}  // namespace detail
 
 // SDDMM (Table 2): out has the sparsity pattern of `pattern` and values
 //   out(i,j) = pattern(i,j) * <x_i, y_j>
@@ -64,20 +46,8 @@ void sddmm(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   if (&out != &pattern) out = pattern;
   const index_t k = x.cols();
   auto v = out.vals_mutable();
-  // Format + schedule resolution (autotune.hpp owns the precedence; the
-  // blocked path is bitwise-invisible, see blocked_ops.hpp). BCSR has no
-  // SDDMM kernel — only SELL reroutes, everything else stays scalar. The
-  // per-edge read of the pattern value happens before the write, so the
-  // usual out-aliases-pattern contract holds on the blocked path too.
   std::shared_ptr<const KernelSchedule> owned;
-  const detail::ResolvedDispatch rd = detail::resolve_dispatch(
-      "sddmm", pattern, k, TuneProxy::kSddmmLike, /*supports_sell=*/true,
-      /*supports_bcsr=*/false, sched, owned);
-  if (rd.format == SparseFormat::kSell) {
-    sell_sddmm<true>(*sell_for(pattern), pattern.vals(), x, y, v);
-    return;
-  }
-  sched = rd.sched;
+  sched = detail::resolve_schedule(pattern, sched, owned);
   detail::scheduled_rows(*sched, pattern, [&](index_t i, index_t b, index_t e) {
     const T* xi = x.data() + i * k;
     for (index_t t = b; t < e; ++t) {
@@ -119,14 +89,7 @@ void sddmm_unweighted(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   const index_t k = x.cols();
   auto v = out.vals_mutable();
   std::shared_ptr<const KernelSchedule> owned;
-  const detail::ResolvedDispatch rd = detail::resolve_dispatch(
-      "sddmm_unweighted", pattern, k, TuneProxy::kSddmmLike,
-      /*supports_sell=*/true, /*supports_bcsr=*/false, sched, owned);
-  if (rd.format == SparseFormat::kSell) {
-    sell_sddmm<false>(*sell_for(pattern), pattern.vals(), x, y, v);
-    return;
-  }
-  sched = rd.sched;
+  sched = detail::resolve_schedule(pattern, sched, owned);
   detail::scheduled_rows(*sched, pattern, [&](index_t i, index_t b, index_t e) {
     const T* xi = x.data() + i * k;
     for (index_t t = b; t < e; ++t) {
@@ -205,8 +168,7 @@ void sparse_row_sums(const CsrMatrix<T>& a, std::vector<T>& s,
                         static_cast<std::uint64_t>(a.rows()) * sizeof(T));
   s.resize(static_cast<std::size_t>(a.rows()));
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("sparse_row_sums", a, 1,
-                                         TuneProxy::kRowPassLike, sched, owned);
+  sched = detail::resolve_schedule(a, sched, owned);
   if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
     for (index_t i = 0; i < a.rows(); ++i) {
@@ -336,8 +298,7 @@ void row_softmax_inplace(CsrMatrix<T>& x, const KernelSchedule* sched = nullptr)
                             sizeof(index_t)));
   auto v = x.vals_mutable();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("row_softmax", x, 1,
-                                         TuneProxy::kRowPassLike, sched, owned);
+  sched = detail::resolve_schedule(x, sched, owned);
   if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
     for (index_t i = 0; i < x.rows(); ++i) {
@@ -466,8 +427,7 @@ void row_softmax_backward(const CsrMatrix<T>& s, const CsrMatrix<T>& ds,
   if (&dx != &s && &dx != &ds) dx = s;
   auto v = dx.vals_mutable();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("row_softmax_backward", s, 1,
-                                         TuneProxy::kRowPassLike, sched, owned);
+  sched = detail::resolve_schedule(s, sched, owned);
   if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
     for (index_t i = 0; i < s.rows(); ++i) {
@@ -554,8 +514,7 @@ void scale_rows_cols(const CsrMatrix<T>& a, std::span<const T> scale_row,
   if (&out != &a) out = a;
   auto v = out.vals_mutable();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_tuned_schedule("scale_rows_cols", a, 1,
-                                         TuneProxy::kRowPassLike, sched, owned);
+  sched = detail::resolve_schedule(a, sched, owned);
   detail::scheduled_rows(*sched, a, [&](index_t i, index_t b, index_t e) {
     const T ri = scale_row[static_cast<std::size_t>(i)];
     for (index_t t = b; t < e; ++t) {

@@ -14,11 +14,8 @@
 #include <vector>
 
 #include "obs/obs_scope.hpp"
-#include "tensor/autotune.hpp"
-#include "tensor/blocked_ops.hpp"
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
-#include "tensor/format.hpp"
 #include "tensor/schedule.hpp"
 #include "tensor/semiring.hpp"
 
@@ -44,9 +41,7 @@ void spmm_semiring(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   const index_t n = a.rows(), k = h.cols();
   out.resize(n, k);
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_dispatch("spmm_semiring", a, k, TuneProxy::kSpmmLike,
-                                   false, false, sched, owned)
-              .sched;
+  sched = detail::resolve_schedule(a, sched, owned);
   using Accum = typename S::Accum;
   if (sched->row_parallel()) {
 #pragma omp parallel
@@ -184,30 +179,9 @@ void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out,
                                 sizeof(T), sizeof(index_t)));
   AGNN_ASSERT(a.cols() == h.rows(), "spmm: dimension mismatch");
   const index_t n = a.rows(), k = h.cols();
-  // Format + schedule resolution (env pins, AGNN_FORMAT=auto precedence, or
-  // the AGNN_TUNE tuner — autotune.hpp owns the rules). The blocked kernels
-  // are bitwise-identical to the scalar loops below (blocked_ops.hpp), so
-  // this is a pure speed knob. An explicit schedule is irrelevant on the
-  // blocked paths — every output row is owned by exactly one chunk.
   std::shared_ptr<const KernelSchedule> owned;
-  const detail::ResolvedDispatch rd = detail::resolve_dispatch(
-      "spmm", a, k, TuneProxy::kSpmmLike, /*supports_sell=*/true,
-      /*supports_bcsr=*/true, sched, owned);
-  switch (rd.format) {
-    case SparseFormat::kSell:
-      sell_spmm(*sell_for(a), a.vals(), h, out);
-      return;
-    case SparseFormat::kBcsr:
-      if (auto b = bcsr_for(a); b->valid()) {
-        bcsr_spmm(*b, a.vals(), h, out);
-        return;
-      }
-      break;  // unconvertible (duplicate/unsorted rows): scalar fallback
-    default:
-      break;
-  }
+  sched = detail::resolve_schedule(a, sched, owned);
   out.resize(n, k);
-  sched = rd.sched;
   if (!sched->row_parallel()) {
     detail::spmm_chunked<false>(a, h, out, *sched);
     return;
@@ -248,10 +222,7 @@ void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
               "spmm_accumulate: output shape mismatch");
   const index_t n = a.rows(), k = h.cols();
   std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_dispatch("spmm_accumulate", a, k,
-                                   TuneProxy::kSpmmLike, false, false, sched,
-                                   owned)
-              .sched;
+  sched = detail::resolve_schedule(a, sched, owned);
   if (!sched->row_parallel()) {
     detail::spmm_chunked<true>(a, h, out, *sched);
     return;

@@ -28,10 +28,6 @@
 
 #include "baseline/dist_local_engine.hpp"
 #include "baseline/local_engine.hpp"
-#include "tensor/bcsr_matrix.hpp"
-#include "tensor/blocked_ops.hpp"
-#include "tensor/format.hpp"
-#include "tensor/sell_matrix.hpp"
 #include "comm/communicator.hpp"
 #include "comm/fault_injection.hpp"
 #include "core/model.hpp"
@@ -44,9 +40,7 @@
 #include "dist/recovery.hpp"
 #include "graph/graph.hpp"
 #include "serve/batch_forward.hpp"
-#include "tensor/autotune.hpp"
 #include "tensor/fused.hpp"
-#include "tensor/tuning_cache.hpp"
 #include "tensor/reference_impls.hpp"
 #include "tensor/schedule.hpp"
 #include "tensor/sparse_ops.hpp"
@@ -528,259 +522,6 @@ inline void check_schedule(const Scenario& sc, Failures& out) {
   compare_dense_bits(tag + "_repeat_spmm", again.mm, got.mm, out);
   compare_dense_bits(tag + "_repeat_fused_gat", again.gat, got.gat, out);
   compare_sparse_bits(tag + "_repeat_gat_psi", again.gpsi, got.gpsi, out);
-}
-
-// ---- suite: blocked sparse formats -----------------------------------------
-// Draws a SELL-C-σ geometry (C ∈ {2,4,8,16}, σ a multiple of C) and a BCSR
-// block shape (heights/widths 1..6) from the seed, then checks
-//   (a) CSR → blocked → CSR round-trips are bitwise lossless,
-//   (b) every blocked kernel is bitwise identical to its scalar CSR
-//       counterpart under an explicit row-parallel schedule (the blocked
-//       contract is row-at-a-time CSR edge order, so bitwise — not kTol —
-//       is the bar; references pin the row schedule because chunked
-//       schedules legitimately reassociate split hub rows), and
-//   (c) the AGNN_FORMAT=sell env dispatch path through the public CSR
-//       kernels lands on the same bits as the scalar run.
-// A divergence replays with `diff_fuzz --suite formats --seed N`.
-inline void check_formats(const Scenario& sc, Failures& out) {
-  auto a = make_graph<double>(sc);
-  {
-    // Non-uniform edge weights so the slot → CSR source-index indirection
-    // is actually exercised (uniform 1.0 values would hide permutation bugs).
-    Rng rng(sc.seed * 0x8cb92ba72f3d8dd7ULL + 61);
-    auto v = a.vals_mutable();
-    for (index_t e = 0; e < a.nnz(); ++e) {
-      v[static_cast<std::size_t>(e)] = rng.next_uniform(-2.0, 2.0);
-    }
-  }
-  const auto h = make_features<double>(sc, sc.n, sc.k, 11);
-  const auto x = make_features<double>(sc, sc.n, std::max<index_t>(1, sc.k - 1), 13);
-  const auto s1 = make_scores<double>(sc, sc.n, 17);
-  const auto s2 = make_scores<double>(sc, sc.n, 19);
-  const double slope = 0.2;
-
-  Rng rng(sc.seed * 0xbf58476d1ce4e5b9ULL + 67);
-  const auto chunk = static_cast<index_t>(index_t{1} << (1 + rng.next_bounded(4)));
-  const auto sigma = chunk * static_cast<index_t>(1 + rng.next_bounded(16));
-  const auto br = static_cast<index_t>(1 + rng.next_bounded(6));
-  const auto bc = static_cast<index_t>(1 + rng.next_bounded(6));
-  const auto grain = static_cast<index_t>(1 + rng.next_bounded(16));
-  const auto row =
-      KernelSchedule::build(a.row_ptr(), SchedulePolicy::kRowParallel, grain);
-  const std::string tag = "formats_c" + std::to_string(chunk) + "s" +
-                          std::to_string(sigma) + "_b" + std::to_string(br) +
-                          "x" + std::to_string(bc);
-
-  // (a) lossless round-trips.
-  const auto sell = SellCSigmaMatrix<double>::from_csr(a, chunk, sigma);
-  compare_sparse_bits(tag + "_sell_roundtrip", sell.to_csr(), a, out);
-  const auto bcsr = BcsrMatrix<double>::from_csr(a, br, bc);
-  // make_graph builds through a set, so rows are strictly sorted and every
-  // conversion must succeed; an invalid BCSR here is itself a bug.
-  if (!bcsr.valid()) {
-    out.push_back({tag + "_bcsr_valid", "sorted graph rejected"});
-  } else {
-    compare_sparse_bits(tag + "_bcsr_roundtrip", bcsr.to_csr(), a, out);
-  }
-
-  // (b) blocked kernels bitwise vs the row-scheduled scalar CSR paths.
-  DenseMatrix<double> ref_mm;
-  spmm(a, h, ref_mm, &row);
-  {
-    DenseMatrix<double> got;
-    sell_spmm(sell, a.vals(), h, got);
-    compare_dense_bits(tag + "_sell_spmm", got, ref_mm, out);
-  }
-  if (bcsr.valid()) {
-    DenseMatrix<double> got;
-    bcsr_spmm(bcsr, a.vals(), h, got);
-    compare_dense_bits(tag + "_bcsr_spmm", got, ref_mm, out);
-  }
-  {
-    CsrMatrix<double> ref;
-    sddmm(a, h, h, ref, &row);
-    auto got = a;
-    auto v = got.vals_mutable();
-    sell_sddmm<true>(sell, a.vals(), h, h, v);
-    compare_sparse_bits(tag + "_sell_sddmm", got, ref, out);
-  }
-  {
-    CsrMatrix<double> ref;
-    sddmm_unweighted(a, h, h, ref, &row);
-    auto got = a;
-    auto v = got.vals_mutable();
-    sell_sddmm<false>(sell, a.vals(), h, h, v);
-    compare_sparse_bits(tag + "_sell_sddmm_unweighted", got, ref, out);
-  }
-  {
-    DenseMatrix<double> ref, got;
-    fused_va_aggregate(a, h, x, ref, &row);
-    sell_fused_va_aggregate(sell, a.vals(), h, x, got);
-    compare_dense_bits(tag + "_sell_fused_va", got, ref, out);
-  }
-  {
-    DenseMatrix<double> ref, got;
-    fused_gat_aggregate<double>(a, s1, s2, slope, x, ref, &row);
-    sell_fused_gat_aggregate<double>(sell, a.vals(), s1, s2, slope, x, got);
-    compare_dense_bits(tag + "_sell_fused_gat", got, ref, out);
-  }
-
-  // (c) the env-selected dispatch inside the public kernels: AGNN_FORMAT=sell
-  // must be invisible to the bit. (Save/restore so the knob does not leak
-  // into the other suites of the same fuzz run.)
-  {
-    const char* old = std::getenv("AGNN_FORMAT");
-    const std::string saved = old ? old : "";
-    setenv("AGNN_FORMAT", "sell", 1);
-    DenseMatrix<double> env_mm;
-    spmm(a, h, env_mm);
-    DenseMatrix<double> env_gat;
-    fused_gat_aggregate<double>(a, s1, s2, slope, x, env_gat);
-    if (old) {
-      setenv("AGNN_FORMAT", saved.c_str(), 1);
-    } else {
-      unsetenv("AGNN_FORMAT");
-    }
-    compare_dense_bits(tag + "_dispatch_spmm", env_mm, ref_mm, out);
-    DenseMatrix<double> ref_gat;
-    fused_gat_aggregate<double>(a, s1, s2, slope, x, ref_gat, &row);
-    compare_dense_bits(tag + "_dispatch_fused_gat", env_gat, ref_gat, out);
-  }
-}
-
-// ---- suite: tuned dispatch --------------------------------------------------
-// The autotuner's bitwise-invisibility contract (autotune.hpp): candidates
-// race only inside the untuned run's bitwise-equivalence class, so every
-// public scheduled kernel must land the same bits with AGNN_TUNE=on (cold
-// cache), on again (warm cache), and force-resample as with the tuner off —
-// regardless of which candidate wins the timing race. The seed budget
-// shrinks on sanitizer legs via the usual --count knob
-// (AGNN_FUZZ_TUNE_SEEDS in ctest). A divergence replays with
-// `diff_fuzz --suite tune --seed N`.
-inline void check_tune(const Scenario& sc, Failures& out) {
-  auto a = make_graph<double>(sc);
-  {
-    Rng rng(sc.seed * 0x8cb92ba72f3d8dd7ULL + 71);
-    auto v = a.vals_mutable();
-    for (index_t e = 0; e < a.nnz(); ++e) {
-      v[static_cast<std::size_t>(e)] = rng.next_uniform(-2.0, 2.0);
-    }
-  }
-  const auto h = make_features<double>(sc, sc.n, sc.k, 11);
-  const auto x = make_features<double>(sc, sc.n, std::max<index_t>(1, sc.k - 1), 13);
-  const auto s1 = make_scores<double>(sc, sc.n, 17);
-  const auto s2 = make_scores<double>(sc, sc.n, 19);
-  const double slope = 0.2;
-
-  // Hermetic legs: pin every dispatch knob for the duration and restore on
-  // exit so nothing leaks into the other suites of the same fuzz run.
-  struct EnvGuard {
-    const char* name;
-    bool had = false;
-    std::string saved;
-    EnvGuard(const char* n, const char* value) : name(n) {
-      if (const char* old = std::getenv(n)) {
-        had = true;
-        saved = old;
-      }
-      if (value != nullptr) {
-        setenv(n, value, 1);
-      } else {
-        unsetenv(n);
-      }
-    }
-    ~EnvGuard() {
-      if (had) {
-        setenv(name, saved.c_str(), 1);
-      } else {
-        unsetenv(name);
-      }
-    }
-  };
-  EnvGuard tune_env("AGNN_TUNE", nullptr);
-  EnvGuard fmt_env("AGNN_FORMAT", nullptr);
-  EnvGuard sched_env("AGNN_SCHEDULE", nullptr);
-  EnvGuard grain_env("AGNN_SCHEDULE_GRAIN", nullptr);
-  EnvGuard cache_env("AGNN_TUNE_CACHE", nullptr);
-
-  struct Outs {
-    DenseMatrix<double> mm, va, gat;
-    CsrMatrix<double> dd, soft, dx, agnn, gscores, gpsi;
-    std::vector<double> sums;
-  };
-  auto run_all = [&]() {
-    Outs o;
-    spmm(a, h, o.mm);
-    sddmm(a, h, h, o.dd);
-    sparse_row_sums(a, o.sums);
-    row_softmax(o.dd, o.soft);
-    {
-      auto ds = o.soft;
-      auto v = ds.vals_mutable();
-      Rng r2(sc.seed * 0x8cb92ba72f3d8dd7ULL + 31);
-      for (auto& z : v) z = r2.next_uniform(-1.0, 1.0);
-      row_softmax_backward(o.soft, ds, o.dx);
-    }
-    psi_agnn(a, h, o.agnn);
-    psi_gat<double>(a, s1, s2, slope, o.gscores, o.gpsi);
-    fused_va_aggregate(a, h, x, o.va);
-    fused_gat_aggregate<double>(a, s1, s2, slope, x, o.gat);
-    return o;
-  };
-  auto compare_leg = [&](const std::string& leg, const Outs& got,
-                         const Outs& want) {
-    compare_dense_bits(leg + "_spmm", got.mm, want.mm, out);
-    compare_sparse_bits(leg + "_sddmm", got.dd, want.dd, out);
-    if (got.sums.size() != want.sums.size()) {
-      out.push_back({leg + "_row_sums", "size mismatch"});
-    } else {
-      for (std::size_t i = 0; i < got.sums.size(); ++i) {
-        if (!bits_equal(got.sums[i], want.sums[i])) {
-          out.push_back({leg + "_row_sums",
-                         "bit mismatch at " + std::to_string(i)});
-          break;
-        }
-      }
-    }
-    compare_sparse_bits(leg + "_row_softmax", got.soft, want.soft, out);
-    compare_sparse_bits(leg + "_softmax_backward", got.dx, want.dx, out);
-    compare_sparse_bits(leg + "_psi_agnn", got.agnn, want.agnn, out);
-    compare_sparse_bits(leg + "_gat_scores", got.gscores, want.gscores, out);
-    compare_sparse_bits(leg + "_gat_psi", got.gpsi, want.gpsi, out);
-    compare_dense_bits(leg + "_fused_va", got.va, want.va, out);
-    compare_dense_bits(leg + "_fused_gat", got.gat, want.gat, out);
-  };
-
-  TuningCache::global().clear();
-  const Outs want = run_all();  // tuner off: the heuristic baseline
-  setenv("AGNN_TUNE", "on", 1);
-  const Outs cold = run_all();  // cold cache: samples, memoizes
-  compare_leg("tune_cold", cold, want);
-  const Outs warm = run_all();  // warm cache: memoized choices only
-  compare_leg("tune_warm", warm, want);
-  setenv("AGNN_TUNE", "force-resample", 1);
-  const Outs forced = run_all();  // re-measured winners, same bitwise class
-  compare_leg("tune_forced", forced, want);
-
-  // Grain-varied legs. The table still holds the default-grain choices, so
-  // this doubles as the grain-aliasing regression: the auto baseline (and
-  // any chunked decomposition's fold order) depends on AGNN_SCHEDULE_GRAIN,
-  // so a cell sampled under the default grain must MISS under this one —
-  // being served across the boundary would let AGNN_TUNE move bits. The
-  // grain is seed-derived and includes non-powers-of-two, which share log2
-  // buckets with their neighbors but may straddle the 4*grain threshold.
-  const std::string grain =
-      std::to_string(64 + (sc.seed % 5) * 48);  // 64..256, mostly non-pow2
-  setenv("AGNN_SCHEDULE_GRAIN", grain.c_str(), 1);
-  unsetenv("AGNN_TUNE");
-  const Outs want_g = run_all();  // the untuned baseline under THIS grain
-  setenv("AGNN_TUNE", "on", 1);
-  const Outs cold_g = run_all();  // fresh cells: samples under this grain
-  compare_leg("tune_grain" + grain + "_cold", cold_g, want_g);
-  const Outs warm_g = run_all();
-  compare_leg("tune_grain" + grain + "_warm", warm_g, want_g);
-
-  TuningCache::global().clear();  // keep later suites hermetic
 }
 
 // ---- suite 3: distributed engines vs the sequential model ------------------

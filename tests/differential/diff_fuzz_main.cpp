@@ -33,8 +33,6 @@ constexpr SuiteSpec kSuites[] = {
     {"kernels", Purpose::kKernels, agnn::diffuzz::check_kernels, 200},
     {"outparam", Purpose::kKernels, agnn::diffuzz::check_outparam, 200},
     {"schedule", Purpose::kKernels, agnn::diffuzz::check_schedule, 200},
-    {"formats", Purpose::kKernels, agnn::diffuzz::check_formats, 200},
-    {"tune", Purpose::kKernels, agnn::diffuzz::check_tune, 100},
     {"engines", Purpose::kEngines, agnn::diffuzz::check_engines, 40},
     {"faults", Purpose::kEngines, agnn::diffuzz::check_fault_recovery, 15},
     {"serving", Purpose::kEngines, agnn::diffuzz::check_serving, 60},
@@ -42,7 +40,7 @@ constexpr SuiteSpec kSuites[] = {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--suite kernels|outparam|schedule|formats|tune|engines|faults|serving|all] [--seed N]\n"
+               "usage: %s [--suite kernels|outparam|schedule|engines|faults|serving|all] [--seed N]\n"
                "          [--count N] [--start-seed N] [--verbose]\n",
                argv0);
   return 2;

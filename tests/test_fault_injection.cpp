@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -89,11 +90,17 @@ TEST(FaultSpec, RandomPlansAreSeedDeterministic) {
 
 // ---- fault firing at collectives ------------------------------------------
 
+// gtest lists a parameter by its raw bytes ("# GetParam() = 12-byte object
+// <...>"), so FirePoint has no padding: the three bytes after the one-byte
+// `kind` are a zeroed member, keeping the listed test names stable.
 struct FirePoint {
+  FirePoint(FaultKind k, int r, int n) : kind(k), rank(r), nranks(n) {}
   FaultKind kind;
+  std::uint8_t zero[3] = {};
   int rank;    // faulted rank
   int nranks;  // world size
 };
+static_assert(sizeof(FirePoint) == sizeof(FaultKind) + 3 + 2 * sizeof(int));
 
 class FaultFiring : public ::testing::TestWithParam<FirePoint> {};
 

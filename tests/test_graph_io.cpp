@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
@@ -140,6 +143,24 @@ TEST_F(GraphIoTest, TruncatedFileThrows) {
   write_edge_list(path_, el);
   std::filesystem::resize_file(path_, std::filesystem::file_size(path_) / 2);
   EXPECT_THROW(read_edge_list(path_), std::logic_error);
+}
+
+// An edge count past vector::max_size() is checked against the file length
+// and rejected as truncated before anything is allocated from it.
+TEST_F(GraphIoTest, HugeEdgeCountIsRejectedBeforeAllocating) {
+  path_ = ::testing::TempDir() + "agnn_io_huge_nnz.bin";
+  write_edge_list(path_, tiny_edges());
+  const auto huge =
+      static_cast<std::int64_t>(std::vector<index_t>().max_size()) + 1;
+  testing::patch_i64(path_, 16, huge);  // magic, n, then nnz
+  try {
+    read_edge_list(path_);
+    FAIL() << "expected the truncated-file error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated graph file"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

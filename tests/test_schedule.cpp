@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -159,9 +160,19 @@ TEST(SchedulePolicyParse, EnvOverrideSelectsPolicy) {
     EXPECT_EQ(schedule_policy_from_env(), SchedulePolicy::kHybridBinned);
   }
   {
-    // Garbage falls back to auto rather than aborting the run.
-    ScopedEnv e("AGNN_SCHEDULE", "warp_per_row");
+    ScopedEnv e("AGNN_SCHEDULE", "");
     EXPECT_EQ(schedule_policy_from_env(), SchedulePolicy::kAuto);
+  }
+  {
+    // A typo throws, naming the variable, rather than silently running auto.
+    ScopedEnv e("AGNN_SCHEDULE", "warp_per_row");
+    try {
+      schedule_policy_from_env();
+      FAIL() << "expected AGNN_SCHEDULE=warp_per_row to throw";
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find("AGNN_SCHEDULE"), std::string::npos)
+          << err.what();
+    }
   }
 }
 
@@ -174,10 +185,20 @@ TEST(SchedulePolicyParse, EnvGrainParsing) {
     ScopedEnv e("AGNN_SCHEDULE_GRAIN", "256");
     EXPECT_EQ(schedule_grain_from_env(), 256);
   }
-  for (const char* bad : {"", "0", "-8", "abc", "12abc"}) {
+  {
+    ScopedEnv e("AGNN_SCHEDULE_GRAIN", "");
+    EXPECT_EQ(schedule_grain_from_env(), kDefaultScheduleGrain);
+  }
+  for (const char* bad : {"0", "-8", "abc", "12abc", "99999999999999999999"}) {
     ScopedEnv e("AGNN_SCHEDULE_GRAIN", bad);
-    EXPECT_EQ(schedule_grain_from_env(), kDefaultScheduleGrain)
-        << "grain '" << bad << "' must fall back to the default";
+    try {
+      schedule_grain_from_env();
+      FAIL() << "grain '" << bad << "' must throw";
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find("AGNN_SCHEDULE_GRAIN"),
+                std::string::npos)
+          << err.what();
+    }
   }
 }
 

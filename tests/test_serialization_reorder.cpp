@@ -1,8 +1,13 @@
 // Tests for model checkpointing, vertex reordering, and feature dropout.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/gradcheck.hpp"
 #include "dist/process_grid.hpp"
@@ -74,6 +79,49 @@ TEST(Serialization, CorruptFileRejected) {
   EXPECT_THROW(load_model<double>(path), std::logic_error);
   std::filesystem::remove(path);
   EXPECT_THROW(load_model<double>("/no/such/model.bin"), std::logic_error);
+}
+
+// Counts past vector::max_size() are checked against the bytes left in the
+// file and rejected as truncated before anything is allocated from them.
+void expect_truncated_error(const std::function<void()>& load) {
+  try {
+    load();
+    FAIL() << "expected the truncated-file error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("model file truncated"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+GnnConfig one_unit_config() {
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGCN;
+  cfg.in_features = 3;
+  cfg.layer_widths = {1};
+  return cfg;
+}
+
+const std::int64_t kPastMaxSize =
+    static_cast<std::int64_t>(std::vector<double>().max_size()) + 1;
+
+TEST(Serialization, HugeFeatureCountIsRejectedBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "agnn_model_huge.bin";
+  save_model(path, GnnModel<double>(one_unit_config()));
+  // magic, kind, then in_features: the first layer's W is in_features x 1.
+  testing::patch_i64(path, 16, kPastMaxSize);
+  expect_truncated_error([&] { load_model<double>(path); });
+  std::filesystem::remove(path);
+}
+
+TEST(Serialization, HugeOptimizerStateIsRejectedBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "agnn_ckpt_huge.bin";
+  GnnModel<double> model(one_unit_config());
+  const std::vector<double> state = {1.0, 2.0};
+  save_checkpoint(path, model, 3, std::span<const double>(state));
+  testing::patch_i64(path, 16, kPastMaxSize);  // magic, epoch, then the count
+  expect_truncated_error([&] { load_checkpoint(path, model); });
+  std::filesystem::remove(path);
 }
 
 // ---- reordering --------------------------------------------------------------

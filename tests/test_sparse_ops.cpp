@@ -2,6 +2,9 @@
 // reductions, and the X + X^T building block — each against a dense oracle.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tensor/reference_impls.hpp"
 #include "tensor/sparse_ops.hpp"
 #include "tensor/spmm.hpp"
@@ -271,6 +274,62 @@ TEST(SparseOps, SoftmaxBackwardAllIsolatedVertices) {
   const auto dx = row_softmax_backward(s, s);
   EXPECT_EQ(dx.rows(), 7);
   EXPECT_EQ(dx.nnz(), 0);
+}
+
+// ---- upfront shape asserts (spmmm regression) -------------------------------
+// A k-mismatch used to surface from the inner spmm/matmul with a message
+// blaming the wrong kernel; the asserts now name spmmm itself.
+
+bool message_names(const std::logic_error& e, const char* kernel) {
+  return std::string(e.what()).find(kernel) != std::string::npos;
+}
+
+TEST(ShapeAsserts, SpmmmNamesItself) {
+  const auto a = testing::random_sparse<double>(12, 0.3, 307);
+  const auto h = random_dense<double>(12, 5, 311);
+  const auto w_bad = random_dense<double>(6, 3, 313);  // h.cols() != w.rows()
+  DenseMatrix<double> scratch, out;
+  try {
+    spmmm(a, h, w_bad, scratch, out);
+    FAIL() << "expected a shape assert";
+  } catch (const std::logic_error& e) {
+    EXPECT_TRUE(message_names(e, "spmmm")) << e.what();
+  }
+  const auto h_bad = random_dense<double>(7, 5, 317);  // a.cols() != h.rows()
+  const auto w = random_dense<double>(5, 3, 331);
+  try {
+    spmmm(a, h_bad, w, scratch, out);
+    FAIL() << "expected a shape assert";
+  } catch (const std::logic_error& e) {
+    EXPECT_TRUE(message_names(e, "spmmm")) << e.what();
+  }
+  try {
+    spmmm(a, h, w, out, out);  // aliased scratch
+    FAIL() << "expected an alias assert";
+  } catch (const std::logic_error& e) {
+    EXPECT_TRUE(message_names(e, "spmmm")) << e.what();
+  }
+}
+
+TEST(ShapeAsserts, AggregateAndMspmmValidateUpfront) {
+  const auto a = testing::random_sparse<double>(12, 0.3, 337);
+  const auto h_bad = random_dense<double>(7, 5, 347);
+  DenseMatrix<double> out;
+  try {
+    aggregate(a, h_bad, Aggregation::kMin, out);
+    FAIL() << "expected a shape assert";
+  } catch (const std::logic_error& e) {
+    EXPECT_TRUE(message_names(e, "aggregate")) << e.what();
+  }
+  const auto x = random_dense<double>(12, 4, 349);
+  const auto y = random_dense<double>(12, 3, 353);
+  DenseMatrix<double> scratch;
+  try {
+    mspmm(x, a, y, scratch, scratch);
+    FAIL() << "expected an alias assert";
+  } catch (const std::logic_error& e) {
+    EXPECT_TRUE(message_names(e, "mspmm")) << e.what();
+  }
 }
 
 }  // namespace

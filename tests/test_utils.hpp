@@ -1,10 +1,13 @@
 // Shared helpers for the test suite: random tensors and graphs with fixed
-// seeds, and tolerant matrix comparison.
+// seeds, tolerant matrix comparison, and header forging for decoder tests.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "graph/erdos_renyi.hpp"
@@ -82,6 +85,17 @@ void expect_sparse_near(const CsrMatrix<T>& a, const CsrMatrix<T>& b, double tol
     EXPECT_NEAR(static_cast<double>(a.val_at(e)), static_cast<double>(b.val_at(e)), tol)
         << what << " at nnz " << e;
   }
+}
+
+// Overwrite the int64 at byte `offset` of a file in place: forges a count in
+// a file header so decoder tests can feed one that the data cannot back.
+inline void patch_i64(const std::string& path, std::streamoff offset,
+                      std::int64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good()) << "cannot open " << path;
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(f.good()) << "cannot patch " << path;
 }
 
 }  // namespace agnn::testing
