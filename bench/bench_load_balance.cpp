@@ -11,8 +11,6 @@
 // nnz) and the modeled step time of distributed GAT training.
 #include "bench_common.hpp"
 #include "graph/reorder.hpp"
-#include "tensor/fused.hpp"
-#include "tensor/schedule.hpp"
 
 namespace agnn::bench {
 namespace {
@@ -62,41 +60,6 @@ void LoadBalance(benchmark::State& state) {
   state.SetLabel(to_string(ordering));
 }
 
-// Single-node load balance: the fused GAT aggregation on a skewed Kronecker
-// graph under each KernelSchedule policy. Row-parallel serializes whichever
-// thread draws a hub row; the edge-balanced and hybrid schedules split the
-// hubs into grain-sized pieces with a deterministic partial reduction. Real
-// wall-clock (not the BSP model): this is the kernel the schedule exists to
-// speed up. Counters report the chunk decomposition so imbalance is visible
-// next to the timing.
-void ScheduleFusedGat(benchmark::State& state) {
-  const auto policy = static_cast<SchedulePolicy>(state.range(0));
-  static const graph::Graph<real_t> g = kronecker_graph(14, 0.001, 77);
-  const CsrMatrix<real_t>& adj = g.adj;
-  const index_t n = adj.rows(), k = 16;
-  Rng rng(11);
-  DenseMatrix<real_t> x(n, k);
-  x.fill_uniform(rng, -1.0, 1.0);
-  std::vector<real_t> s1(static_cast<std::size_t>(n)), s2(static_cast<std::size_t>(n));
-  for (auto& v : s1) v = static_cast<real_t>(rng.next_uniform(-1.0, 1.0));
-  for (auto& v : s2) v = static_cast<real_t>(rng.next_uniform(-1.0, 1.0));
-
-  const auto sched =
-      KernelSchedule::build(adj.row_ptr(), policy, kDefaultScheduleGrain);
-  DenseMatrix<real_t> out;
-  fused_gat_aggregate<real_t>(adj, s1, s2, 0.2f, x, out, &sched);  // warm-up
-  for (auto _ : state) {
-    fused_gat_aggregate<real_t>(adj, s1, s2, 0.2f, x, out, &sched);
-  }
-  const auto& st = sched.stats();
-  state.counters["nnz"] = static_cast<double>(st.nnz);
-  state.counters["max_row_nnz"] = static_cast<double>(st.max_row_nnz);
-  state.counters["skew"] = st.skew;
-  state.counters["chunks"] = static_cast<double>(sched.chunks().size());
-  state.counters["split_rows"] = static_cast<double>(sched.num_split_rows());
-  state.SetLabel(to_string(sched.policy()));
-}
-
 void register_all() {
   for (const auto ordering : {Ordering::kNatural, Ordering::kShuffled,
                               Ordering::kDegreeDescending}) {
@@ -110,14 +73,6 @@ void register_all() {
           ->UseManualTime()
           ->Iterations(1);
     }
-  }
-  for (const auto policy :
-       {SchedulePolicy::kRowParallel, SchedulePolicy::kEdgeBalanced,
-        SchedulePolicy::kHybridBinned}) {
-    benchmark::RegisterBenchmark(
-        (std::string("ScheduleFusedGat/") + agnn::to_string(policy)).c_str(),
-        ScheduleFusedGat)
-        ->Args({static_cast<long>(policy)});
   }
 }
 

@@ -4,7 +4,7 @@
 // the batch-window x fan-out x server-thread grid — plus the per-request
 // sequential baseline the batched rows must beat (the whole point of the
 // request batcher is that coalescing amortizes per-forward overheads:
-// fewer kernel launches, fewer schedule builds, one attention pass over
+// fewer kernel launches and parallel regions, one attention pass over
 // the disjoint union instead of B tiny ones).
 //
 // Workload: dataset B0 at scale 14 (n = 2^14 Kronecker), 2-layer GAT,

@@ -16,11 +16,14 @@
 // `GridShape` names one member plus its factorization; `grid_for` routes a
 // rank count to a valid shape (or throws a structured error naming which
 // distributions accept that count); `AGNN_DIST` / `AGNN_DIST_DEPTH` select
-// the family member from the environment, mirroring AGNN_SCHEDULE.
+// the family member from the environment and throw on a malformed value.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -156,7 +159,7 @@ inline DistPolicy default_policy_for(int p) {
 
 // AGNN_DIST: "1d" | "1.5d" | "2d" | "3d" | "auto" (or unset). Unknown values
 // throw (a typo silently falling back to a different distribution would make
-// every downstream measurement lie). AGNN_DIST_DEPTH overrides the 3D depth.
+// every downstream measurement lie).
 inline DistPolicy policy_from_env(int p) {
   const char* v = std::getenv("AGNN_DIST");
   if (v == nullptr || v[0] == '\0' || std::string_view(v) == "auto") {
@@ -170,12 +173,21 @@ inline DistPolicy policy_from_env(int p) {
   return *parsed;
 }
 
+// AGNN_DIST_DEPTH: the 3D depth, a decimal integer in [1, INT_MAX]. Unset or
+// empty means 0, which lets grid_for pick the depth; anything else throws.
 inline int depth_hint_from_env() {
-  if (const char* v = std::getenv("AGNN_DIST_DEPTH")) {
-    const long d = std::atol(v);
-    if (d > 0) return static_cast<int>(d);
+  const char* v = std::getenv("AGNN_DIST_DEPTH");
+  if (v == nullptr || v[0] == '\0') return 0;
+  const char* end = v + std::strlen(v);
+  int d = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, d);
+  if (ec != std::errc() || ptr != end || d < 1) {
+    throw std::logic_error(std::string("AGNN_DIST_DEPTH: invalid depth '") + v +
+                           "' (want an integer in [1, " +
+                           std::to_string(std::numeric_limits<int>::max()) +
+                           "], or unset for auto)");
   }
-  return 0;
+  return d;
 }
 
 inline GridShape grid_from_env(int p) {

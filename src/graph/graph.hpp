@@ -40,11 +40,7 @@ struct Graph {
     return d;
   }
 
-  index_t max_degree() const {
-    index_t m = 0;
-    for (index_t i = 0; i < adj.rows(); ++i) m = std::max(m, adj.row_nnz(i));
-    return m;
-  }
+  index_t max_degree() const { return adj.max_row_nnz(); }
 };
 
 // Build a Graph from a raw generator edge list, applying the artifact's

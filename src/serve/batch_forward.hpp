@@ -5,8 +5,8 @@
 // request r's sub-block occupies a contiguous row/column range of the
 // batched square adjacency for every layer, with no cross-request edges.
 // Combined with the row-locality of every forward kernel (per-row CSR-order
-// reductions, row-local attention normalization, deterministic schedule
-// folds — DESIGN.md §11), this makes the batched output for request r
+// reductions by one thread, row-local attention normalization — DESIGN.md
+// §11), this makes the batched output for request r
 // BITWISE EQUAL to running the same ego network alone through
 // serve_sequential: batching is a pure throughput transform, never an
 // accuracy (or even ULP) transform. tests/test_serving.cpp and the

@@ -36,7 +36,6 @@
 #include "serve/batch_forward.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/vertex_cache.hpp"
-#include "tensor/schedule.hpp"
 
 namespace agnn::serve {
 
@@ -77,10 +76,6 @@ class InferenceServer {
                 "InferenceServer: feature rows must match graph");
     AGNN_ASSERT(x.cols() == model.config().in_features,
                 "InferenceServer: feature width must match model");
-    // The schedule knobs are strict and may throw — better at construction
-    // than on a worker thread mid-request.
-    schedule_policy_from_env();
-    schedule_grain_from_env();
     workers_.reserve(config.num_threads);
     for (std::size_t i = 0; i < config.num_threads; ++i) {
       workers_.emplace_back([this] { worker_loop(); });

@@ -13,6 +13,7 @@
 #include <istream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace agnn {
 
@@ -48,6 +49,19 @@ inline std::uint64_t bytes_left(std::istream& in) {
   AGNN_ASSERT(here != std::istream::pos_type(-1) && end >= here && in.good(),
               "bytes_left: stream is not seekable");
   return static_cast<std::uint64_t>(end - here);
+}
+
+// Per-OS-thread reusable scratch, grown to the high-water mark on first use
+// and reused afterwards, so the steady state allocates nothing. The
+// Workspace pool cannot serve it: core already links against tensor, and the
+// pool belongs to the driving rank thread while this buffer lives per OpenMP
+// worker. One buffer per element type: a caller must not hold the pointer
+// across another call that may grow it.
+template <typename U>
+inline U* thread_scratch(std::size_t n) {
+  thread_local std::vector<U> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 }  // namespace detail

@@ -6,8 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -18,64 +16,12 @@
 
 namespace agnn {
 
-// Defined in tensor/schedule.hpp; the CSR only carries an opaque cache slot.
-class KernelSchedule;
-
 template <typename T>
 class CsrMatrix {
  public:
   using value_type = T;
 
   CsrMatrix() = default;
-
-  // The schedule cache makes these non-defaultable: pattern and values copy
-  // or move as before, and the cached schedule travels with them (a copy has
-  // the same pattern, so the same schedule applies). The cache slot is an
-  // atomic shared_ptr because distinct rank threads may run kernels on one
-  // shared const CsrMatrix concurrently.
-  CsrMatrix(const CsrMatrix& o)
-      : n_rows_(o.n_rows_),
-        n_cols_(o.n_cols_),
-        row_ptr_(o.row_ptr_),
-        col_idx_(o.col_idx_),
-        vals_(o.vals_) {
-    copy_schedule_from(o);
-  }
-
-  CsrMatrix& operator=(const CsrMatrix& o) {
-    if (this != &o) {
-      n_rows_ = o.n_rows_;
-      n_cols_ = o.n_cols_;
-      row_ptr_ = o.row_ptr_;
-      col_idx_ = o.col_idx_;
-      vals_ = o.vals_;
-      copy_schedule_from(o);
-    }
-    return *this;
-  }
-
-  CsrMatrix(CsrMatrix&& o) noexcept
-      : n_rows_(o.n_rows_),
-        n_cols_(o.n_cols_),
-        row_ptr_(std::move(o.row_ptr_)),
-        col_idx_(std::move(o.col_idx_)),
-        vals_(std::move(o.vals_)) {
-    copy_schedule_from(o);
-  }
-
-  CsrMatrix& operator=(CsrMatrix&& o) noexcept {
-    if (this != &o) {
-      n_rows_ = o.n_rows_;
-      n_cols_ = o.n_cols_;
-      row_ptr_ = std::move(o.row_ptr_);
-      col_idx_ = std::move(o.col_idx_);
-      vals_ = std::move(o.vals_);
-      copy_schedule_from(o);
-    }
-    return *this;
-  }
-
-  ~CsrMatrix() = default;
 
   CsrMatrix(index_t n_rows, index_t n_cols, std::vector<index_t> row_ptr,
             std::vector<index_t> col_idx, std::vector<T> vals)
@@ -153,6 +99,11 @@ class CsrMatrix {
   index_t row_begin(index_t i) const { return row_ptr_[static_cast<std::size_t>(i)]; }
   index_t row_end(index_t i) const { return row_ptr_[static_cast<std::size_t>(i) + 1]; }
   index_t row_nnz(index_t i) const { return row_end(i) - row_begin(i); }
+  index_t max_row_nnz() const {
+    index_t m = 0;
+    for (index_t i = 0; i < n_rows_; ++i) m = std::max(m, row_nnz(i));
+    return m;
+  }
   index_t col_at(index_t e) const { return col_idx_[static_cast<std::size_t>(e)]; }
   T val_at(index_t e) const { return vals_[static_cast<std::size_t>(e)]; }
   T& val_at(index_t e) { return vals_[static_cast<std::size_t>(e)]; }
@@ -179,7 +130,6 @@ class CsrMatrix {
   // as insertion cursors, then get shifted back down by one at the end.
   void transposed_into(CsrMatrix& out) const {
     AGNN_ASSERT(&out != this, "transposed_into cannot alias its input");
-    out.invalidate_schedule_cache();  // out's pattern is rebuilt in place
     out.n_rows_ = n_cols_;
     out.n_cols_ = n_rows_;
     out.row_ptr_.assign(static_cast<std::size_t>(n_cols_ + 1), 0);
@@ -259,33 +209,12 @@ class CsrMatrix {
     return CsrMatrix<U>(n_rows_, n_cols_, row_ptr_, col_idx_, std::move(v));
   }
 
-  // --- kernel-schedule cache (tensor/schedule.hpp) -----------------------
-  // The schedule is a pure function of the sparsity pattern plus the
-  // requested (policy, grain); schedule_for() compares those and rebuilds on
-  // mismatch. Mutating the pattern in place must invalidate the slot —
-  // today transposed_into is the only such path. The slot is mutable: a
-  // const matrix shared by rank threads still caches its schedule.
-  std::shared_ptr<const KernelSchedule> cached_schedule() const {
-    return schedule_cache_.load(std::memory_order_acquire);
-  }
-  void cache_schedule(std::shared_ptr<const KernelSchedule> s) const {
-    schedule_cache_.store(std::move(s), std::memory_order_release);
-  }
-  void invalidate_schedule_cache() const {
-    schedule_cache_.store(nullptr, std::memory_order_release);
-  }
-
  private:
-  void copy_schedule_from(const CsrMatrix& o) {
-    schedule_cache_.store(o.cached_schedule(), std::memory_order_release);
-  }
-
   index_t n_rows_ = 0;
   index_t n_cols_ = 0;
   std::vector<index_t> row_ptr_{0};
   std::vector<index_t> col_idx_;
   std::vector<T> vals_;
-  mutable std::atomic<std::shared_ptr<const KernelSchedule>> schedule_cache_{};
 };
 
 }  // namespace agnn

@@ -35,9 +35,6 @@ struct PlusTimesSemiring {
   static Accum identity() { return T(0); }
   // accumulate: acc = op1(acc, op2(a, h))
   static void accumulate(Accum& acc, T a, T h) { acc += a * h; }
-  // merge: acc = op1(acc, other) — folds a split-row piece partial into the
-  // running accumulator (tensor/schedule.hpp reduces pieces in fixed order).
-  static void merge(Accum& acc, const Accum& other) { acc += other; }
   static T finalize(const Accum& acc) { return acc; }
 };
 
@@ -47,7 +44,6 @@ struct MinPlusSemiring {
   static constexpr const char* name() { return "min_plus"; }
   static Accum identity() { return std::numeric_limits<T>::infinity(); }
   static void accumulate(Accum& acc, T a, T h) { acc = std::min(acc, a + h); }
-  static void merge(Accum& acc, const Accum& other) { acc = std::min(acc, other); }
   static T finalize(const Accum& acc) { return acc; }
 };
 
@@ -57,7 +53,6 @@ struct MaxPlusSemiring {
   static constexpr const char* name() { return "max_plus"; }
   static Accum identity() { return -std::numeric_limits<T>::infinity(); }
   static void accumulate(Accum& acc, T a, T h) { acc = std::max(acc, a + h); }
-  static void merge(Accum& acc, const Accum& other) { acc = std::max(acc, other); }
   static T finalize(const Accum& acc) { return acc; }
 };
 
@@ -77,13 +72,6 @@ struct AverageSemiring {
     // Merge the tuple (h, a) — value h with weight a — into the accumulator.
     const T w = acc.weight + a;
     if (w != T(0)) acc.mean = (acc.mean * acc.weight + h * a) / w;
-    acc.weight = w;
-  }
-  // Weighted average of two partial averages — associative over the weights,
-  // so piece partials merge exactly like individual (h, a) contributions.
-  static void merge(Accum& acc, const Accum& other) {
-    const T w = acc.weight + other.weight;
-    if (w != T(0)) acc.mean = (acc.mean * acc.weight + other.mean * other.weight) / w;
     acc.weight = w;
   }
   static T finalize(const Accum& acc) { return acc.mean; }

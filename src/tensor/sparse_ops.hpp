@@ -22,7 +22,6 @@
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_ops.hpp"
-#include "tensor/schedule.hpp"
 
 namespace agnn {
 
@@ -32,8 +31,7 @@ namespace agnn {
 // sampling matrix's own values (the Hadamard with A in the formulations).
 template <typename T>
 void sddmm(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
-           const DenseMatrix<T>& y, CsrMatrix<T>& out,
-           const KernelSchedule* sched = nullptr) {
+           const DenseMatrix<T>& y, CsrMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("sddmm",
                     obs::sddmm_traffic_bytes(
                         static_cast<std::uint64_t>(pattern.nnz()),
@@ -46,18 +44,17 @@ void sddmm(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   if (&out != &pattern) out = pattern;
   const index_t k = x.cols();
   auto v = out.vals_mutable();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(pattern, sched, owned);
-  detail::scheduled_rows(*sched, pattern, [&](index_t i, index_t b, index_t e) {
+#pragma omp parallel for schedule(dynamic, 64)
+  for (index_t i = 0; i < pattern.rows(); ++i) {
     const T* xi = x.data() + i * k;
-    for (index_t t = b; t < e; ++t) {
+    for (index_t t = pattern.row_begin(i); t < pattern.row_end(i); ++t) {
       const index_t j = pattern.col_at(t);
       const T* yj = y.data() + j * k;
       T acc = T(0);
       for (index_t g = 0; g < k; ++g) acc += xi[g] * yj[g];
       v[static_cast<std::size_t>(t)] = pattern.val_at(t) * acc;
     }
-  });
+  }
 }
 
 template <typename T>
@@ -74,8 +71,7 @@ CsrMatrix<T> sddmm(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
 // this every step.
 template <typename T>
 void sddmm_unweighted(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
-                      const DenseMatrix<T>& y, CsrMatrix<T>& out,
-                      const KernelSchedule* sched = nullptr) {
+                      const DenseMatrix<T>& y, CsrMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("sddmm_unweighted",
                     obs::sddmm_traffic_bytes(
                         static_cast<std::uint64_t>(pattern.nnz()),
@@ -88,18 +84,17 @@ void sddmm_unweighted(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   if (&out != &pattern) out = pattern;
   const index_t k = x.cols();
   auto v = out.vals_mutable();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(pattern, sched, owned);
-  detail::scheduled_rows(*sched, pattern, [&](index_t i, index_t b, index_t e) {
+#pragma omp parallel for schedule(dynamic, 64)
+  for (index_t i = 0; i < pattern.rows(); ++i) {
     const T* xi = x.data() + i * k;
-    for (index_t t = b; t < e; ++t) {
+    for (index_t t = pattern.row_begin(i); t < pattern.row_end(i); ++t) {
       const index_t j = pattern.col_at(t);
       const T* yj = y.data() + j * k;
       T acc = T(0);
       for (index_t g = 0; g < k; ++g) acc += xi[g] * yj[g];
       v[static_cast<std::size_t>(t)] = acc;
     }
-  });
+  }
 }
 
 template <typename T>
@@ -157,57 +152,19 @@ CsrMatrix<T> map_values(const CsrMatrix<T>& a, F&& f) {
 }
 
 // sum(X) = X * 1 over the sparse pattern: per-row sum of stored values.
-// Split rows sum per piece, then fold the piece partials in fixed order.
 template <typename T>
-void sparse_row_sums(const CsrMatrix<T>& a, std::vector<T>& s,
-                     const KernelSchedule* sched = nullptr) {
+void sparse_row_sums(const CsrMatrix<T>& a, std::vector<T>& s) {
   AGNN_KERNEL_SCOPE("sparse_row_sums",
                     obs::csr_pass_bytes(static_cast<std::uint64_t>(a.nnz()),
                                         static_cast<std::uint64_t>(a.rows()),
                                         sizeof(T), sizeof(index_t)) +
                         static_cast<std::uint64_t>(a.rows()) * sizeof(T));
   s.resize(static_cast<std::size_t>(a.rows()));
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(a, sched, owned);
-  if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
-    for (index_t i = 0; i < a.rows(); ++i) {
-      T acc = T(0);
-      for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) acc += a.val_at(e);
-      s[static_cast<std::size_t>(i)] = acc;
-    }
-    return;
-  }
-  const auto& cs = sched->chunks();
-  const auto& srs = sched->split_rows();
-  const index_t nc = static_cast<index_t>(cs.size());
-  const index_t nsr = sched->num_split_rows();
-  T* part = detail::schedule_arena<T>(
-      static_cast<std::size_t>(sched->num_pieces()));
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic, 1)
-    for (index_t ci = 0; ci < nc; ++ci) {
-      const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(a.row_begin(i), c.edge_begin);
-        const index_t e = std::min(a.row_end(i), c.edge_end);
-        T acc = T(0);
-        for (index_t t = b; t < e; ++t) acc += a.val_at(t);
-        if (c.piece >= 0) {
-          part[c.piece] = acc;
-        } else {
-          s[static_cast<std::size_t>(i)] = acc;
-        }
-      }
-    }
-#pragma omp for schedule(static)
-    for (index_t si = 0; si < nsr; ++si) {
-      const KernelSchedule::SplitRow& sr = srs[static_cast<std::size_t>(si)];
-      T acc = T(0);
-      for (index_t p = sr.piece_begin; p < sr.piece_end; ++p) acc += part[p];
-      s[static_cast<std::size_t>(sr.row)] = acc;
-    }
+  for (index_t i = 0; i < a.rows(); ++i) {
+    T acc = T(0);
+    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) acc += a.val_at(e);
+    s[static_cast<std::size_t>(i)] = acc;
   }
 }
 
@@ -290,118 +247,34 @@ std::vector<T> sparse_col_sums(const CsrMatrix<T>& a) {
 // overflow for large attention scores) and divided by its row sum.
 // The replication rs_n stays virtual: only the n-vector of row sums exists.
 template <typename T>
-void row_softmax_inplace(CsrMatrix<T>& x, const KernelSchedule* sched = nullptr) {
+void row_softmax_inplace(CsrMatrix<T>& x) {
   AGNN_KERNEL_SCOPE("row_softmax",
                     2 * obs::csr_pass_bytes(
                             static_cast<std::uint64_t>(x.nnz()),
                             static_cast<std::uint64_t>(x.rows()), sizeof(T),
                             sizeof(index_t)));
   auto v = x.vals_mutable();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(x, sched, owned);
-  if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
-    for (index_t i = 0; i < x.rows(); ++i) {
-      const index_t b = x.row_begin(i), e = x.row_end(i);
-      if (b == e) continue;
-      T mx = v[static_cast<std::size_t>(b)];
-      for (index_t t = b + 1; t < e; ++t) mx = std::max(mx, v[static_cast<std::size_t>(t)]);
-      T sum = T(0);
-      for (index_t t = b; t < e; ++t) {
-        const T ex = std::exp(v[static_cast<std::size_t>(t)] - mx);
-        v[static_cast<std::size_t>(t)] = ex;
-        sum += ex;
-      }
-      const T inv = T(1) / sum;
-      for (index_t t = b; t < e; ++t) v[static_cast<std::size_t>(t)] *= inv;
+  for (index_t i = 0; i < x.rows(); ++i) {
+    const index_t b = x.row_begin(i), e = x.row_end(i);
+    if (b == e) continue;
+    T mx = v[static_cast<std::size_t>(b)];
+    for (index_t t = b + 1; t < e; ++t) mx = std::max(mx, v[static_cast<std::size_t>(t)]);
+    T sum = T(0);
+    for (index_t t = b; t < e; ++t) {
+      const T ex = std::exp(v[static_cast<std::size_t>(t)] - mx);
+      v[static_cast<std::size_t>(t)] = ex;
+      sum += ex;
     }
-    return;
-  }
-  // Chunked online softmax. Whole rows run the legacy per-row arithmetic
-  // (bitwise identical to RowParallel). Split rows go in three phases:
-  //   1. each piece computes its local max mx_p and sum_p = sum exp(v - mx_p)
-  //      without writing anything;
-  //   2. the row max is the max of the piece maxes, and the row denominator
-  //      is sum_p * exp(mx_p - mx) folded in fixed piece order;
-  //   3. each piece writes v = exp(v - mx) / denom.
-  // Phase 2's fold order and phase 1/3's per-piece arithmetic depend only on
-  // the schedule, so the result is bitwise reproducible across runs and
-  // thread counts. The piece holding the row max contributes
-  // sum_p * exp(0) >= 1 to the denominator, so the division is safe.
-  const auto& cs = sched->chunks();
-  const auto& ps = sched->pieces();
-  const auto& srs = sched->split_rows();
-  const index_t nc = static_cast<index_t>(cs.size());
-  const index_t np = sched->num_pieces();
-  const index_t nsr = sched->num_split_rows();
-  // pstat[2p] = piece max, pstat[2p+1] = piece expsum;
-  // rv[2s] = row max, rv[2s+1] = 1 / row denominator.
-  T* pstat = detail::schedule_arena<T>(2 * static_cast<std::size_t>(np));
-  T* rv = detail::schedule_arena<T, 2>(2 * static_cast<std::size_t>(nsr));
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic, 1)
-    for (index_t ci = 0; ci < nc; ++ci) {
-      const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(x.row_begin(i), c.edge_begin);
-        const index_t e = std::min(x.row_end(i), c.edge_end);
-        if (b == e) continue;
-        T mx = v[static_cast<std::size_t>(b)];
-        for (index_t t = b + 1; t < e; ++t) {
-          mx = std::max(mx, v[static_cast<std::size_t>(t)]);
-        }
-        if (c.piece >= 0) {
-          T sum = T(0);
-          for (index_t t = b; t < e; ++t) {
-            sum += std::exp(v[static_cast<std::size_t>(t)] - mx);
-          }
-          pstat[2 * c.piece] = mx;
-          pstat[2 * c.piece + 1] = sum;
-        } else {
-          T sum = T(0);
-          for (index_t t = b; t < e; ++t) {
-            const T ex = std::exp(v[static_cast<std::size_t>(t)] - mx);
-            v[static_cast<std::size_t>(t)] = ex;
-            sum += ex;
-          }
-          const T inv = T(1) / sum;
-          for (index_t t = b; t < e; ++t) v[static_cast<std::size_t>(t)] *= inv;
-        }
-      }
-    }
-#pragma omp for schedule(static)
-    for (index_t si = 0; si < nsr; ++si) {
-      const KernelSchedule::SplitRow& sr = srs[static_cast<std::size_t>(si)];
-      T mx = pstat[2 * sr.piece_begin];
-      for (index_t p = sr.piece_begin + 1; p < sr.piece_end; ++p) {
-        mx = std::max(mx, pstat[2 * p]);
-      }
-      T denom = T(0);
-      for (index_t p = sr.piece_begin; p < sr.piece_end; ++p) {
-        denom += pstat[2 * p + 1] * std::exp(pstat[2 * p] - mx);
-      }
-      rv[2 * si] = mx;
-      rv[2 * si + 1] = T(1) / denom;
-    }
-#pragma omp for schedule(dynamic, 1)
-    for (index_t pi = 0; pi < np; ++pi) {
-      const KernelSchedule::Piece& p = ps[static_cast<std::size_t>(pi)];
-      const T mx = rv[2 * p.split];
-      const T inv = rv[2 * p.split + 1];
-      for (index_t t = p.edge_begin; t < p.edge_end; ++t) {
-        v[static_cast<std::size_t>(t)] =
-            std::exp(v[static_cast<std::size_t>(t)] - mx) * inv;
-      }
-    }
+    const T inv = T(1) / sum;
+    for (index_t t = b; t < e; ++t) v[static_cast<std::size_t>(t)] *= inv;
   }
 }
 
 template <typename T>
-void row_softmax(const CsrMatrix<T>& x, CsrMatrix<T>& out,
-                 const KernelSchedule* sched = nullptr) {
+void row_softmax(const CsrMatrix<T>& x, CsrMatrix<T>& out) {
   if (&out != &x) out = x;
-  row_softmax_inplace(out, sched);
+  row_softmax_inplace(out);
 }
 
 template <typename T>
@@ -417,7 +290,7 @@ CsrMatrix<T> row_softmax(const CsrMatrix<T>& x) {
 // — the per-row softmax Jacobian applied without materializing it.
 template <typename T>
 void row_softmax_backward(const CsrMatrix<T>& s, const CsrMatrix<T>& ds,
-                          CsrMatrix<T>& dx, const KernelSchedule* sched = nullptr) {
+                          CsrMatrix<T>& dx) {
   AGNN_KERNEL_SCOPE("row_softmax_backward",
                     3 * obs::csr_pass_bytes(
                             static_cast<std::uint64_t>(s.nnz()),
@@ -426,65 +299,14 @@ void row_softmax_backward(const CsrMatrix<T>& s, const CsrMatrix<T>& ds,
   AGNN_ASSERT(s.same_pattern(ds), "softmax backward: patterns must match");
   if (&dx != &s && &dx != &ds) dx = s;
   auto v = dx.vals_mutable();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(s, sched, owned);
-  if (sched->row_parallel()) {
 #pragma omp parallel for schedule(dynamic, 64)
-    for (index_t i = 0; i < s.rows(); ++i) {
-      T dot = T(0);
-      for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
-        dot += s.val_at(e) * ds.val_at(e);
-      }
-      for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
-        v[static_cast<std::size_t>(e)] = s.val_at(e) * (ds.val_at(e) - dot);
-      }
+  for (index_t i = 0; i < s.rows(); ++i) {
+    T dot = T(0);
+    for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
+      dot += s.val_at(e) * ds.val_at(e);
     }
-    return;
-  }
-  // Split rows: piece-local dots, folded in fixed piece order, then a pure
-  // per-edge write phase (safe even when dx aliases s or ds — the dot is
-  // already computed and each edge reads before it writes).
-  const auto& cs = sched->chunks();
-  const auto& ps = sched->pieces();
-  const auto& srs = sched->split_rows();
-  const index_t nc = static_cast<index_t>(cs.size());
-  const index_t np = sched->num_pieces();
-  const index_t nsr = sched->num_split_rows();
-  T* pdot = detail::schedule_arena<T>(static_cast<std::size_t>(np));
-  T* rdot = detail::schedule_arena<T, 2>(static_cast<std::size_t>(nsr));
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic, 1)
-    for (index_t ci = 0; ci < nc; ++ci) {
-      const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(s.row_begin(i), c.edge_begin);
-        const index_t e = std::min(s.row_end(i), c.edge_end);
-        T dot = T(0);
-        for (index_t t = b; t < e; ++t) dot += s.val_at(t) * ds.val_at(t);
-        if (c.piece >= 0) {
-          pdot[c.piece] = dot;
-        } else {
-          for (index_t t = b; t < e; ++t) {
-            v[static_cast<std::size_t>(t)] = s.val_at(t) * (ds.val_at(t) - dot);
-          }
-        }
-      }
-    }
-#pragma omp for schedule(static)
-    for (index_t si = 0; si < nsr; ++si) {
-      const KernelSchedule::SplitRow& sr = srs[static_cast<std::size_t>(si)];
-      T dot = T(0);
-      for (index_t p = sr.piece_begin; p < sr.piece_end; ++p) dot += pdot[p];
-      rdot[si] = dot;
-    }
-#pragma omp for schedule(dynamic, 1)
-    for (index_t pi = 0; pi < np; ++pi) {
-      const KernelSchedule::Piece& p = ps[static_cast<std::size_t>(pi)];
-      const T dot = rdot[p.split];
-      for (index_t t = p.edge_begin; t < p.edge_end; ++t) {
-        v[static_cast<std::size_t>(t)] = s.val_at(t) * (ds.val_at(t) - dot);
-      }
+    for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
+      v[static_cast<std::size_t>(e)] = s.val_at(e) * (ds.val_at(e) - dot);
     }
   }
 }
@@ -501,8 +323,7 @@ CsrMatrix<T> row_softmax_backward(const CsrMatrix<T>& s, const CsrMatrix<T>& ds)
 // inverted by the caller.
 template <typename T>
 void scale_rows_cols(const CsrMatrix<T>& a, std::span<const T> scale_row,
-                     std::span<const T> scale_col, CsrMatrix<T>& out,
-                     const KernelSchedule* sched = nullptr) {
+                     std::span<const T> scale_col, CsrMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("scale_rows_cols",
                     2 * obs::csr_pass_bytes(
                             static_cast<std::uint64_t>(a.nnz()),
@@ -513,15 +334,14 @@ void scale_rows_cols(const CsrMatrix<T>& a, std::span<const T> scale_row,
   AGNN_ASSERT(static_cast<index_t>(scale_col.size()) == a.cols(), "col scale size");
   if (&out != &a) out = a;
   auto v = out.vals_mutable();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(a, sched, owned);
-  detail::scheduled_rows(*sched, a, [&](index_t i, index_t b, index_t e) {
+#pragma omp parallel for schedule(dynamic, 64)
+  for (index_t i = 0; i < a.rows(); ++i) {
     const T ri = scale_row[static_cast<std::size_t>(i)];
-    for (index_t t = b; t < e; ++t) {
+    for (index_t t = a.row_begin(i); t < a.row_end(i); ++t) {
       v[static_cast<std::size_t>(t)] *=
           ri * scale_col[static_cast<std::size_t>(a.col_at(t))];
     }
-  });
+  }
 }
 
 template <typename T>

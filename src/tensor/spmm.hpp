@@ -16,21 +16,15 @@
 #include "obs/obs_scope.hpp"
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
-#include "tensor/schedule.hpp"
 #include "tensor/semiring.hpp"
 
 namespace agnn {
 
-// Generalized SpMM over an arbitrary semiring S.
-//
-// Under a non-row-parallel schedule the split rows of heavy hubs accumulate
-// into per-piece partial Accums which a second phase merges (S::merge) in
-// fixed piece order — deterministic across runs and thread counts. Unsplit
-// rows run the same per-row loop as the legacy path, bitwise identical
-// across all policies.
+// Generalized SpMM over an arbitrary semiring S. Each thread folds its rows
+// into one per-thread accumulator row, in edge order.
 template <typename S, typename T>
 void spmm_semiring(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
-                   DenseMatrix<T>& out, const KernelSchedule* sched = nullptr) {
+                   DenseMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("spmm_semiring",
                     obs::spmm_traffic_bytes(
                         static_cast<std::uint64_t>(a.nnz()),
@@ -40,67 +34,20 @@ void spmm_semiring(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.cols() == h.rows(), "spmm: dimension mismatch");
   const index_t n = a.rows(), k = h.cols();
   out.resize(n, k);
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(a, sched, owned);
   using Accum = typename S::Accum;
-  if (sched->row_parallel()) {
-#pragma omp parallel
-    {
-      Accum* acc = detail::schedule_arena<Accum, 1>(static_cast<std::size_t>(k));
-#pragma omp for schedule(dynamic, 64)
-      for (index_t i = 0; i < n; ++i) {
-        std::fill(acc, acc + k, S::identity());
-        for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-          const index_t j = a.col_at(e);
-          const T av = a.val_at(e);
-          const T* hj = h.data() + j * k;
-          for (index_t g = 0; g < k; ++g) S::accumulate(acc[g], av, hj[g]);
-        }
-        T* oi = out.data() + i * k;
-        for (index_t g = 0; g < k; ++g) oi[g] = S::finalize(acc[g]);
-      }
-    }
-    return;
-  }
-  const auto& cs = sched->chunks();
-  const auto& srs = sched->split_rows();
-  const index_t nc = static_cast<index_t>(cs.size());
-  const index_t nsr = sched->num_split_rows();
-  Accum* part = detail::schedule_arena<Accum>(
-      static_cast<std::size_t>(sched->num_pieces()) * static_cast<std::size_t>(k));
 #pragma omp parallel
   {
-    Accum* acc = detail::schedule_arena<Accum, 1>(static_cast<std::size_t>(k));
-#pragma omp for schedule(dynamic, 1)
-    for (index_t ci = 0; ci < nc; ++ci) {
-      const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
-      Accum* dst = c.piece >= 0 ? part + c.piece * k : acc;
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(a.row_begin(i), c.edge_begin);
-        const index_t e = std::min(a.row_end(i), c.edge_end);
-        std::fill(dst, dst + k, S::identity());
-        for (index_t t = b; t < e; ++t) {
-          const index_t j = a.col_at(t);
-          const T av = a.val_at(t);
-          const T* hj = h.data() + j * k;
-          for (index_t g = 0; g < k; ++g) S::accumulate(dst[g], av, hj[g]);
-        }
-        if (c.piece < 0) {
-          T* oi = out.data() + i * k;
-          for (index_t g = 0; g < k; ++g) oi[g] = S::finalize(dst[g]);
-        }
-      }
-    }
-    // implicit barrier: every piece partial is complete before the merge
-#pragma omp for schedule(static)
-    for (index_t si = 0; si < nsr; ++si) {
-      const KernelSchedule::SplitRow& sr = srs[static_cast<std::size_t>(si)];
+    Accum* acc = detail::thread_scratch<Accum>(static_cast<std::size_t>(k));
+#pragma omp for schedule(dynamic, 64)
+    for (index_t i = 0; i < n; ++i) {
       std::fill(acc, acc + k, S::identity());
-      for (index_t p = sr.piece_begin; p < sr.piece_end; ++p) {
-        const Accum* pp = part + p * k;
-        for (index_t g = 0; g < k; ++g) S::merge(acc[g], pp[g]);
+      for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
+        const index_t j = a.col_at(e);
+        const T av = a.val_at(e);
+        const T* hj = h.data() + j * k;
+        for (index_t g = 0; g < k; ++g) S::accumulate(acc[g], av, hj[g]);
       }
-      T* oi = out.data() + sr.row * k;
+      T* oi = out.data() + i * k;
       for (index_t g = 0; g < k; ++g) oi[g] = S::finalize(acc[g]);
     }
   }
@@ -113,65 +60,9 @@ DenseMatrix<T> spmm_semiring(const CsrMatrix<T>& a, const DenseMatrix<T>& h) {
   return out;
 }
 
-namespace detail {
-
-// Shared core of spmm / spmm_accumulate under a chunked schedule: whole-row
-// chunks accumulate straight into `out` (zero-initialized first unless
-// Accumulate), piece chunks accumulate into per-piece k-wide partials, and a
-// second phase folds each split row's partials into its output row in fixed
-// piece order.
-template <bool Accumulate, typename T>
-void spmm_chunked(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
-                  DenseMatrix<T>& out, const KernelSchedule& sched) {
-  const index_t k = h.cols();
-  const auto& cs = sched.chunks();
-  const auto& srs = sched.split_rows();
-  const index_t nc = static_cast<index_t>(cs.size());
-  const index_t nsr = sched.num_split_rows();
-  T* part = schedule_arena<T>(static_cast<std::size_t>(sched.num_pieces()) *
-                              static_cast<std::size_t>(k));
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic, 1)
-    for (index_t ci = 0; ci < nc; ++ci) {
-      const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(a.row_begin(i), c.edge_begin);
-        const index_t e = std::min(a.row_end(i), c.edge_end);
-        T* oi = c.piece >= 0 ? part + c.piece * k : out.data() + i * k;
-        if (c.piece >= 0 || !Accumulate) {
-          for (index_t g = 0; g < k; ++g) oi[g] = T(0);
-        }
-        for (index_t t = b; t < e; ++t) {
-          const index_t j = a.col_at(t);
-          const T av = a.val_at(t);
-          const T* hj = h.data() + j * k;
-          for (index_t g = 0; g < k; ++g) oi[g] += av * hj[g];
-        }
-      }
-    }
-    // implicit barrier: piece partials complete before the reduction
-#pragma omp for schedule(static)
-    for (index_t si = 0; si < nsr; ++si) {
-      const KernelSchedule::SplitRow& sr = srs[static_cast<std::size_t>(si)];
-      T* oi = out.data() + sr.row * k;
-      if (!Accumulate) {
-        for (index_t g = 0; g < k; ++g) oi[g] = T(0);
-      }
-      for (index_t p = sr.piece_begin; p < sr.piece_end; ++p) {
-        const T* pp = part + p * k;
-        for (index_t g = 0; g < k; ++g) oi[g] += pp[g];
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
 // The standard real-semiring SpMM fast path: out = A * H.
 template <typename T>
-void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out,
-          const KernelSchedule* sched = nullptr) {
+void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("spmm", obs::spmm_traffic_bytes(
                                 static_cast<std::uint64_t>(a.nnz()),
                                 static_cast<std::uint64_t>(a.rows()),
@@ -179,13 +70,7 @@ void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out,
                                 sizeof(T), sizeof(index_t)));
   AGNN_ASSERT(a.cols() == h.rows(), "spmm: dimension mismatch");
   const index_t n = a.rows(), k = h.cols();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(a, sched, owned);
   out.resize(n, k);
-  if (!sched->row_parallel()) {
-    detail::spmm_chunked<false>(a, h, out, *sched);
-    return;
-  }
 #pragma omp parallel for schedule(dynamic, 64)
   for (index_t i = 0; i < n; ++i) {
     T* oi = out.data() + i * k;
@@ -210,7 +95,7 @@ DenseMatrix<T> spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h) {
 // partial products from each grid column into the same output block).
 template <typename T>
 void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
-                     DenseMatrix<T>& out, const KernelSchedule* sched = nullptr) {
+                     DenseMatrix<T>& out) {
   AGNN_KERNEL_SCOPE("spmm_accumulate",
                     obs::spmm_traffic_bytes(
                         static_cast<std::uint64_t>(a.nnz()),
@@ -221,12 +106,6 @@ void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(out.rows() == a.rows() && out.cols() == h.cols(),
               "spmm_accumulate: output shape mismatch");
   const index_t n = a.rows(), k = h.cols();
-  std::shared_ptr<const KernelSchedule> owned;
-  sched = detail::resolve_schedule(a, sched, owned);
-  if (!sched->row_parallel()) {
-    detail::spmm_chunked<true>(a, h, out, *sched);
-    return;
-  }
 #pragma omp parallel for schedule(dynamic, 64)
   for (index_t i = 0; i < n; ++i) {
     T* oi = out.data() + i * k;
@@ -242,19 +121,13 @@ void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
 // Runtime-dispatched aggregation, the user-facing ⊕ of the generic model.
 template <typename T>
 void aggregate(const CsrMatrix<T>& a, const DenseMatrix<T>& h, Aggregation agg,
-               DenseMatrix<T>& out, const KernelSchedule* sched = nullptr) {
+               DenseMatrix<T>& out) {
   AGNN_ASSERT(a.cols() == h.rows(), "aggregate: dimension mismatch");
   switch (agg) {
-    case Aggregation::kSum: spmm(a, h, out, sched); return;
-    case Aggregation::kMin:
-      spmm_semiring<MinPlusSemiring<T>>(a, h, out, sched);
-      return;
-    case Aggregation::kMax:
-      spmm_semiring<MaxPlusSemiring<T>>(a, h, out, sched);
-      return;
-    case Aggregation::kMean:
-      spmm_semiring<AverageSemiring<T>>(a, h, out, sched);
-      return;
+    case Aggregation::kSum: spmm(a, h, out); return;
+    case Aggregation::kMin: spmm_semiring<MinPlusSemiring<T>>(a, h, out); return;
+    case Aggregation::kMax: spmm_semiring<MaxPlusSemiring<T>>(a, h, out); return;
+    case Aggregation::kMean: spmm_semiring<AverageSemiring<T>>(a, h, out); return;
   }
   AGNN_ASSERT(false, "unknown aggregation");
 }

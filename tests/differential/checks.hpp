@@ -42,7 +42,6 @@
 #include "serve/batch_forward.hpp"
 #include "tensor/fused.hpp"
 #include "tensor/reference_impls.hpp"
-#include "tensor/schedule.hpp"
 #include "tensor/sparse_ops.hpp"
 #include "tensor/spmm.hpp"
 
@@ -411,117 +410,6 @@ inline void check_outparam(const Scenario& sc, Failures& out) {
       }
     }
   }
-}
-
-// ---- suite: scheduler equivalence ------------------------------------------
-// Draws a chunked schedule policy and a tiny grain from the seed (tiny so
-// even the small fuzz graphs split their hub rows), then checks
-//   (a) the chunk decomposition covers every edge and row exactly once,
-//   (b) every scheduled kernel matches its row-parallel run, and
-//   (c) repeated runs under the same schedule are bitwise identical.
-// A divergence replays with `diff_fuzz --suite schedule --seed N`.
-inline void check_schedule(const Scenario& sc, Failures& out) {
-  const auto a = make_graph<double>(sc);
-  const auto h = make_features<double>(sc, sc.n, sc.k, 11);
-  const auto x = make_features<double>(sc, sc.n, std::max<index_t>(1, sc.k - 1), 13);
-  const auto s1 = make_scores<double>(sc, sc.n, 17);
-  const auto s2 = make_scores<double>(sc, sc.n, 19);
-  const double slope = 0.2;
-
-  Rng rng(sc.seed * 0xbf58476d1ce4e5b9ULL + 53);
-  const SchedulePolicy policy = rng.next_bounded(2) == 0
-                                    ? SchedulePolicy::kEdgeBalanced
-                                    : SchedulePolicy::kHybridBinned;
-  const auto grain = static_cast<index_t>(1 + rng.next_bounded(16));
-  const auto sched = KernelSchedule::build(a.row_ptr(), policy, grain);
-  const auto row =
-      KernelSchedule::build(a.row_ptr(), SchedulePolicy::kRowParallel, grain);
-  const std::string tag = std::string("schedule_") + to_string(policy) +
-                          "_g" + std::to_string(grain);
-
-  // (a) coverage invariants.
-  {
-    std::vector<int> edge_seen(static_cast<std::size_t>(a.nnz()), 0);
-    std::vector<int> row_seen(static_cast<std::size_t>(a.rows()), 0);
-    for (const auto& c : sched.chunks()) {
-      if (c.piece < 0) {
-        for (index_t i = c.row_begin; i < c.row_end; ++i) {
-          row_seen[static_cast<std::size_t>(i)]++;
-        }
-      }
-      for (index_t i = c.row_begin; i < c.row_end; ++i) {
-        const index_t b = std::max(a.row_begin(i), c.edge_begin);
-        const index_t e = std::min(a.row_end(i), c.edge_end);
-        for (index_t z = b; z < e; ++z) edge_seen[static_cast<std::size_t>(z)]++;
-      }
-    }
-    for (const auto& sr : sched.split_rows()) {
-      row_seen[static_cast<std::size_t>(sr.row)]++;
-    }
-    for (index_t e = 0; e < a.nnz(); ++e) {
-      if (edge_seen[static_cast<std::size_t>(e)] != 1) {
-        out.push_back({tag + "_edge_coverage",
-                       "edge " + std::to_string(e) + " covered " +
-                           std::to_string(edge_seen[static_cast<std::size_t>(e)]) +
-                           " times"});
-        break;
-      }
-    }
-    for (index_t i = 0; i < a.rows(); ++i) {
-      if (row_seen[static_cast<std::size_t>(i)] != 1) {
-        out.push_back({tag + "_row_coverage",
-                       "row " + std::to_string(i) + " owned " +
-                           std::to_string(row_seen[static_cast<std::size_t>(i)]) +
-                           " times"});
-        break;
-      }
-    }
-  }
-
-  // (b) chunked kernels against their row-parallel runs. Unsplit rows run
-  // identical arithmetic; split rows reassociate inside the fixed piece
-  // order, hence kTol rather than bitwise.
-  auto run_all = [&](const KernelSchedule& s) {
-    struct Outs {
-      DenseMatrix<double> mm, va, gat;
-      CsrMatrix<double> dd, soft, dx, agnn, gscores, gpsi;
-      std::vector<double> sums;
-    } o;
-    spmm(a, h, o.mm, &s);
-    sddmm(a, h, h, o.dd, &s);
-    sparse_row_sums(a, o.sums, &s);
-    row_softmax(o.dd, o.soft, &s);
-    {
-      auto ds = o.soft;
-      auto v = ds.vals_mutable();
-      Rng r2(sc.seed * 0x8cb92ba72f3d8dd7ULL + 31);
-      for (auto& z : v) z = r2.next_uniform(-1.0, 1.0);
-      row_softmax_backward(o.soft, ds, o.dx, &s);
-    }
-    psi_agnn(a, h, o.agnn, &s);
-    psi_gat<double>(a, s1, s2, slope, o.gscores, o.gpsi, &s);
-    fused_va_aggregate(a, h, x, o.va, &s);
-    fused_gat_aggregate<double>(a, s1, s2, slope, x, o.gat, &s);
-    return o;
-  };
-  const auto got = run_all(sched);
-  const auto want = run_all(row);
-  compare_dense(tag + "_spmm", got.mm, want.mm, kTol, out);
-  compare_sparse(tag + "_sddmm", got.dd, want.dd, kTol, out);
-  compare_vec(tag + "_row_sums", got.sums, want.sums, kTol, out);
-  compare_sparse(tag + "_row_softmax", got.soft, want.soft, kTol, out);
-  compare_sparse(tag + "_softmax_backward", got.dx, want.dx, kTol, out);
-  compare_sparse(tag + "_psi_agnn", got.agnn, want.agnn, kTol, out);
-  compare_sparse(tag + "_gat_scores", got.gscores, want.gscores, kTol, out);
-  compare_sparse(tag + "_gat_psi", got.gpsi, want.gpsi, kTol, out);
-  compare_dense(tag + "_fused_va", got.va, want.va, kTol, out);
-  compare_dense(tag + "_fused_gat", got.gat, want.gat, kTol, out);
-
-  // (c) determinism: the same schedule twice must agree to the bit.
-  const auto again = run_all(sched);
-  compare_dense_bits(tag + "_repeat_spmm", again.mm, got.mm, out);
-  compare_dense_bits(tag + "_repeat_fused_gat", again.gat, got.gat, out);
-  compare_sparse_bits(tag + "_repeat_gat_psi", again.gpsi, got.gpsi, out);
 }
 
 // ---- suite 3: distributed engines vs the sequential model ------------------

@@ -32,7 +32,6 @@ struct SuiteSpec {
 constexpr SuiteSpec kSuites[] = {
     {"kernels", Purpose::kKernels, agnn::diffuzz::check_kernels, 200},
     {"outparam", Purpose::kKernels, agnn::diffuzz::check_outparam, 200},
-    {"schedule", Purpose::kKernels, agnn::diffuzz::check_schedule, 200},
     {"engines", Purpose::kEngines, agnn::diffuzz::check_engines, 40},
     {"faults", Purpose::kEngines, agnn::diffuzz::check_fault_recovery, 15},
     {"serving", Purpose::kEngines, agnn::diffuzz::check_serving, 60},
@@ -40,7 +39,7 @@ constexpr SuiteSpec kSuites[] = {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--suite kernels|outparam|schedule|engines|faults|serving|all] [--seed N]\n"
+               "usage: %s [--suite kernels|outparam|engines|faults|serving|all] [--seed N]\n"
                "          [--count N] [--start-seed N] [--verbose]\n",
                argv0);
   return 2;

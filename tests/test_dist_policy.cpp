@@ -139,6 +139,27 @@ TEST(DistPolicy, EnvironmentRoutingIsStrict) {
   EXPECT_EQ(depth_hint_from_env(), 0);
 }
 
+TEST(DistPolicy, DepthEnvironmentParsingIsStrict) {
+  ::setenv("AGNN_DIST_DEPTH", "", 1);
+  EXPECT_EQ(depth_hint_from_env(), 0);
+  ::setenv("AGNN_DIST_DEPTH", "1", 1);
+  EXPECT_EQ(depth_hint_from_env(), 1);
+  ::setenv("AGNN_DIST_DEPTH", "2147483647", 1);
+  EXPECT_EQ(depth_hint_from_env(), 2147483647);
+  for (const char* bad : {"2x", "abc", "-1", "0", "99999999999", "2147483648",
+                          " 2", "+2", "2.0"}) {
+    ::setenv("AGNN_DIST_DEPTH", bad, 1);
+    try {
+      depth_hint_from_env();
+      FAIL() << "AGNN_DIST_DEPTH='" << bad << "' must throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("AGNN_DIST_DEPTH"), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("AGNN_DIST_DEPTH");
+}
+
 TEST(DistPolicy, GridFromEnvComposesPolicyAndDepth) {
   ::setenv("AGNN_DIST", "3d", 1);
   ::setenv("AGNN_DIST_DEPTH", "2", 1);

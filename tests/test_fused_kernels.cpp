@@ -8,7 +8,6 @@
 
 #include "tensor/fused.hpp"
 #include "tensor/reference_impls.hpp"
-#include "tensor/schedule.hpp"
 #include "tensor/spmm.hpp"
 #include "test_utils.hpp"
 
@@ -226,10 +225,9 @@ TEST(FusedKernels, GatHandlesAllIsolatedVertices) {
       EXPECT_EQ(out(i, g), 0.0) << "isolated row " << i << " must aggregate to 0";
 }
 
-// Repeated runs of the fused aggregates must be bitwise identical under
-// every schedule policy: the chunk decomposition is a pure function of
-// (row_ptr, policy, grain) and split-row partials fold in fixed piece
-// order, so no run-to-run reassociation is possible.
+// Repeated runs of the fused aggregates must be bitwise identical: each row
+// is reduced by one thread in edge order, so no run-to-run reassociation is
+// possible.
 TEST(FusedKernels, ScheduleRepeatedRunsAreBitwiseIdentical) {
   const auto g = testing::small_graph<double>(48, 360, 91);
   const index_t n = g.adj.rows();
@@ -250,21 +248,13 @@ TEST(FusedKernels, ScheduleRepeatedRunsAreBitwiseIdentical) {
     }
     return true;
   };
-  for (const auto policy :
-       {SchedulePolicy::kRowParallel, SchedulePolicy::kEdgeBalanced,
-        SchedulePolicy::kHybridBinned}) {
-    // grain 8 forces splits even on this small graph
-    const auto sched = KernelSchedule::build(g.adj.row_ptr(), policy, 8);
-    DenseMatrix<double> va_a, va_b, gat_a, gat_b;
-    fused_va_aggregate(g.adj, h, x, va_a, &sched);
-    fused_va_aggregate(g.adj, h, x, va_b, &sched);
-    fused_gat_aggregate<double>(g.adj, s1, s2, 0.2, x, gat_a, &sched);
-    fused_gat_aggregate<double>(g.adj, s1, s2, 0.2, x, gat_b, &sched);
-    EXPECT_TRUE(bits_equal(va_a, va_b))
-        << "fused_va_aggregate not reproducible under " << to_string(policy);
-    EXPECT_TRUE(bits_equal(gat_a, gat_b))
-        << "fused_gat_aggregate not reproducible under " << to_string(policy);
-  }
+  DenseMatrix<double> va_a, va_b, gat_a, gat_b;
+  fused_va_aggregate(g.adj, h, x, va_a);
+  fused_va_aggregate(g.adj, h, x, va_b);
+  fused_gat_aggregate<double>(g.adj, s1, s2, 0.2, x, gat_a);
+  fused_gat_aggregate<double>(g.adj, s1, s2, 0.2, x, gat_b);
+  EXPECT_TRUE(bits_equal(va_a, va_b)) << "fused_va_aggregate not reproducible";
+  EXPECT_TRUE(bits_equal(gat_a, gat_b)) << "fused_gat_aggregate not reproducible";
 }
 
 TEST(FusedKernels, GatSelfLoopOnlyAdjacencyIsIdentity) {
