@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: random tensors and graphs with fixed
-// seeds, tolerant matrix comparison, and header forging for decoder tests.
+// seeds, tolerant matrix comparison, header forging for decoder tests, and
+// a scoped OpenMP team size.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,7 +17,27 @@
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 namespace agnn::testing {
+
+// Pin the OpenMP team size for a scope (a no-op without OpenMP).
+class ScopedThreads {
+ public:
+#if defined(_OPENMP)
+  explicit ScopedThreads(int n) : prev_(omp_get_max_threads()) {
+    omp_set_num_threads(n);
+  }
+  ~ScopedThreads() { omp_set_num_threads(prev_); }
+
+ private:
+  int prev_;
+#else
+  explicit ScopedThreads(int) {}
+#endif
+};
 
 template <typename T>
 DenseMatrix<T> random_dense(index_t rows, index_t cols, std::uint64_t seed,
