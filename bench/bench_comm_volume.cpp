@@ -15,8 +15,6 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "dist/dist_1d_engine.hpp"
-#include "dist/dist_summa_engine.hpp"
 #include "dist/engine_factory.hpp"
 #include "dist/volume_model.hpp"
 
@@ -95,14 +93,16 @@ void Scheme1dVs15d(benchmark::State& state) {
     const auto stats_15d =
         comm::SpmdRuntime::run(ranks, [&](comm::Communicator& world) {
           GnnModel<real_t> model(model_config(ModelKind::kGAT, k, 3));
-          dist::DistGnnEngine<real_t> engine(world, g.adj, model);
+          dist::DistEngine<real_t> engine(world, g.adj, model,
+                                          dist::DistPolicy::k1_5D);
           comm::reset_all_stats(world);
           engine.forward(x, nullptr);
         });
     const auto stats_1d =
         comm::SpmdRuntime::run(ranks, [&](comm::Communicator& world) {
           GnnModel<real_t> model(model_config(ModelKind::kGAT, k, 3));
-          dist::Dist1dGlobalEngine<real_t> engine(world, g.adj, model);
+          dist::DistEngine<real_t> engine(world, g.adj, model,
+                                          dist::DistPolicy::k1D);
           comm::reset_all_stats(world);
           engine.forward(x, nullptr);
         });
@@ -139,28 +139,9 @@ void PolicyFamilyVolume(benchmark::State& state) {
     const auto stats =
         comm::SpmdRuntime::run(ranks, [&](comm::Communicator& world) {
           GnnModel<real_t> model(model_config(kind, k, layers));
-          switch (policy) {
-            case dist::DistPolicy::k1D: {
-              dist::Dist1dGlobalEngine<real_t> engine(world, g.adj, model);
-              comm::reset_all_stats(world);
-              engine.forward(x, nullptr);
-              break;
-            }
-            case dist::DistPolicy::k1_5D: {
-              dist::DistGnnEngine<real_t> engine(world, g.adj, model);
-              comm::reset_all_stats(world);
-              engine.forward(x, nullptr);
-              break;
-            }
-            case dist::DistPolicy::k2D:
-            case dist::DistPolicy::k3D: {
-              dist::DistSummaEngine<real_t> engine(world, g.adj, model,
-                                                   policy);
-              comm::reset_all_stats(world);
-              engine.forward(x, nullptr);
-              break;
-            }
-          }
+          dist::DistEngine<real_t> engine(world, g.adj, model, policy);
+          comm::reset_all_stats(world);
+          engine.forward(x, nullptr);
         });
     const auto r = summarize(stats);
     state.SetIterationTime(std::max(1e-9, r.modeled_seconds));

@@ -130,7 +130,7 @@ inline RunResult run_global(const Workload& w, ModelKind kind, int ranks) {
 
   const auto stats = comm::SpmdRuntime::run(ranks, [&](comm::Communicator& world) {
     GnnModel<real_t> model(model_config(kind, w.k, w.layers));
-    dist::DistGnnEngine<real_t> engine(world, adj, model);
+    dist::DistEngine<real_t> engine(world, adj, model, dist::DistPolicy::k1_5D);
     // Warm-up step excluded from accounting (the artifact uses 2 warm-ups;
     // one is enough to touch all allocations here).
     if (w.training) {

@@ -70,7 +70,7 @@ Outcome run_training(const CsrMatrix<double>& adj, const DenseMatrix<double>& x,
   const auto stats =
       comm::SpmdRuntime::run(kRanks, ropts, [&](comm::Communicator& world) {
         GnnModel<double> model(gat_config(k));
-        dist::DistGnnEngine<double> engine(world, adj, model);
+        dist::DistEngine<double> engine(world, adj, model, dist::DistPolicy::k1_5D);
         SgdOptimizer<double> opt(0.05, 0.9);
         dist::RecoveryOptions opts;
         opts.checkpoint_every = 2;

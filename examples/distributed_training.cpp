@@ -88,7 +88,8 @@ int main() {
     const auto global = run(g.adj, x, labels, p, k,
                             [](comm::Communicator& w, const CsrMatrix<float>& a,
                                GnnModel<float>& m) {
-                              return dist::DistGnnEngine<float>(w, a, m);
+                              return dist::DistEngine<float>(
+                                  w, a, m, dist::DistPolicy::k1_5D);
                             });
     std::printf("%-22s %5d %12.3f %10.2fus %10.2fms %10.4f\n", "global (1.5D)", p,
                 global.comm_mb, global.comm_s * 1e6, global.total_s * 1e3,

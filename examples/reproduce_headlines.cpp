@@ -51,7 +51,7 @@ double modeled_train_step(const CsrMatrix<float>& adj, index_t k, int ranks,
     GnnModel<float> model(gat_config(k));
     SgdOptimizer<float> opt(0.01f);
     if (global) {
-      dist::DistGnnEngine<float> engine(world, adj, model);
+      dist::DistEngine<float> engine(world, adj, model, dist::DistPolicy::k1_5D);
       engine.train_step(x, labels, opt);
       comm::reset_all_stats(world);
       engine.train_step(x, labels, opt);
@@ -93,7 +93,8 @@ int main() {
     for (const int p : {4, 16, 64}) {
       const auto stats = comm::SpmdRuntime::run(p, [&](comm::Communicator& world) {
         GnnModel<float> model(gat_config(16));
-        dist::DistGnnEngine<float> engine(world, g.adj, model);
+        dist::DistEngine<float> engine(world, g.adj, model,
+                                       dist::DistPolicy::k1_5D);
         comm::reset_all_stats(world);
         engine.forward(x, nullptr);
       });

@@ -2,7 +2,7 @@
 // unified_single_bench.py / unified_distr_bench.py command-line interface:
 //
 //   ./build/examples/unified_bench -m VA -v 10000 -e 1000000
-//   ./build/examples/unified_bench -m GAT -d kronecker -v 4096 -e 100000 \
+//   ./build/examples/unified_bench -m GAT -d kronecker -v 4096 -e 100000
 //        --features 32 -l 3 --repeat 10 --warmup 2 -p 16
 //   ./build/examples/unified_bench -m AGNN -f graph.bin --inference
 //
@@ -46,7 +46,6 @@
 #include "comm/cost_model.hpp"
 #include "core/cli.hpp"
 #include "core/model.hpp"
-#include "dist/dist_engine.hpp"
 #include "dist/engine_factory.hpp"
 #include "graph/erdos_renyi.hpp"
 #include "graph/graph.hpp"

@@ -1,510 +1,591 @@
-// Distributed execution of the global tensor formulations (Section 6.3).
+// Distributed execution of the global tensor formulations (Section 6.3),
+// generalized to the 1D / 1.5D / 2D / 3D distribution family.
 //
-// Implements the A-stationary 1.5D scheme on a square sqrt(p) x sqrt(p)
-// process grid:
-//   * every per-edge sparse matrix (A, Psi, and the backward-pass sampled
-//     matrices N and D) is distributed in static 2D blocks and never moves;
-//   * tall dense matrices move between "layout B" (input: rows C_j,
-//     replicated across the grid column) and "layout R" (output: rows R_i,
-//     identical within the grid row) — see process_grid.hpp;
-//   * each layer: fetch the transpose-partner's feature block (nk/sqrt(p)
-//     words), compute the Psi block with the fused local kernels, SpMM the
-//     block, allreduce partial sums along the grid row, and redistribute the
-//     output to layout B for the next layer.
+// One engine runs every member: it writes the forward and backward of each
+// model once, as a few global ops over the layout primitives of
+// dist/layout.hpp (fetch rows into R, assemble the column operand C in
+// stages, reduce row and column partials, move R rows back to the input
+// layout V). The sparse blocks never move, so per layer a rank moves
+// O(n k / sqrt(p) + k^2) words on the 1.5D grid — the Section 7.1 bound —
+// and each member's own bound elsewhere (dist/volume_model.hpp replays the
+// forward protocols byte for byte).
 //
-// Per layer this moves O(nk/sqrt(p) + k^2) words per rank — the global-
-// formulation bound of Section 7.1 — for forward, backward, and inference.
-// Every byte is charged through the Communicator's volume accounting, which
-// the theory-verification benchmark (bench_comm_volume) checks against the
-// closed-form bound.
-//
-// The step plumbing (layer loop, loss, gradient chaining) lives in the
-// policy-parameterized EngineCoreBase; this file holds only the 1.5D layer
-// math and layout exchanges.
+// Every backward follows one form: fetch G into R once and form M = G W^T
+// locally; the row-side partials (VA, AGNN, GAT's ds1) are summed over the
+// row family and moved to V, while every column-side term is summed on the
+// C layout first — linear corrections such as GAT's ds2 a2^T and AGNN's
+// norm projection included — so one column reduce per layer suffices.
 #pragma once
 
+#include <memory>
 #include <vector>
 
-#include "dist/engine_core.hpp"
-#include "graph/graph.hpp"
+#include "core/layer.hpp"
+#include "core/loss.hpp"
+#include "core/model.hpp"
+#include "core/optimizer.hpp"
+#include "core/workspace.hpp"
+#include "dist/layout.hpp"
+#include "obs/trace.hpp"
 
 namespace agnn::dist {
 
-// Per-layer intermediates cached by the distributed forward pass.
+// Per-layer intermediates cached by the forward pass (V, R, C as in
+// dist/layout.hpp).
 template <typename T>
 struct DistLayerCache {
-  DenseMatrix<T> h_b;         // H^l rows C_j
-  DenseMatrix<T> h_r;         // H^l rows R_i (partner-fetched; VA/AGNN)
-  DenseMatrix<T> z_b;         // Z^l rows C_j
-  CsrMatrix<T> psi_loc;       // Psi block (i, j)
-  CsrMatrix<T> cos_loc;       // AGNN: cosine block (Psi before A-weighting)
-  DenseMatrix<T> ph_r;        // (Psi H)_Ri; for GIN the full X = (A+(1+e)I)H
-  // GIN:
-  DenseMatrix<T> mlp_pre_r;   // (X W)_Ri pre-activation
-  DenseMatrix<T> mlp_hidden_r;  // sigma_mlp(X W)_Ri
-  // GAT:
-  DenseMatrix<T> hp_b;        // H' = H W rows C_j
-  CsrMatrix<T> scores_pre_loc;  // C block (pre-LeakyReLU)
-  std::vector<T> s1_r, s2_b;
+  DenseMatrix<T> h_v;           // H^l, the layer input
+  DenseMatrix<T> h_r;           // H^l rows R (GIN, VA, AGNN)
+  DenseMatrix<T> h_c;           // H^l rows C (GCN, GIN, VA, AGNN)
+  DenseMatrix<T> z_v;           // Z^l
+  CsrMatrix<T> psi;             // Psi block (VA, AGNN, GAT)
+  CsrMatrix<T> cos;             // AGNN: cosine block (Psi before A-weighting)
+  DenseMatrix<T> ph_r;          // (Psi H)_R; for GIN the full X = (A+(1+e)I)H
+  DenseMatrix<T> mlp_pre_r;     // GIN: (X W)_R pre-activation
+  DenseMatrix<T> mlp_hidden_r;  // GIN: sigma_mlp(X W)_R
+  DenseMatrix<T> hp_v, hp_c;    // GAT: H' = H W, rows V and C
+  CsrMatrix<T> scores_pre;      // GAT: C block (pre-LeakyReLU)
+  std::vector<T> s1_r, s2_c;
 };
 
 template <typename T>
-class DistGnnEngine
-    : public EngineCoreBase<T, DistLayerCache<T>, DistGnnEngine<T>> {
-  using Base = EngineCoreBase<T, DistLayerCache<T>, DistGnnEngine<T>>;
-  friend Base;
-
+class DistEngine {
  public:
   using LayerCache = DistLayerCache<T>;
-  static constexpr const char* kForwardSpan = "dist1_5d.forward";
-  static constexpr const char* kTrainSpan = "dist1_5d.train_step";
+  using Stage = typename Layout<T>::Stage;
 
-  // Collective constructor: every rank passes the same global adjacency and
-  // a model replica (identical across ranks by construction — same config
-  // seed). Block extraction is local; initial data distribution is not
-  // charged, matching the paper's accounting.
-  DistGnnEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
-                GnnModel<T>& model)
-      : Base(world, a_global.rows(), model),
-        grid_(ProcessGrid::side_for(world.size())),
-        gi_(grid_.row_of(world.rank())),
-        gj_(grid_.col_of(world.rank())),
-        row_comm_(world.split(gi_, gj_)),
-        col_comm_(world.split(grid_.q + gj_, gi_)),
-        ri_(block_range(this->n_, grid_.q, gi_)),
-        cj_(block_range(this->n_, grid_.q, gj_)) {
-    AGNN_ASSERT(a_global.rows() == a_global.cols(), "adjacency must be square");
-    a_loc_ = a_global.block(ri_.begin, ri_.end, cj_.begin, cj_.end);
-    a_loc_t_ = a_loc_.transposed();
+  struct StepResult {
+    T loss = T(0);
+  };
+
+  // Collective constructor: every rank passes the same global adjacency, a
+  // model replica (identical across ranks by construction: same config
+  // seed) and the same grid shape. Block extraction is local; initial data
+  // distribution is not charged, matching the paper's accounting.
+  DistEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
+             GnnModel<T>& model, const GridShape& shape)
+      : policy_(shape.policy),
+        layout_(make_layout(world, a_global, shape)),
+        model_(model) {}
+
+  // The grid `grid_for` routes this policy and rank count to.
+  DistEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
+             GnnModel<T>& model, DistPolicy policy, int depth_hint = 0)
+      : DistEngine(world, a_global, model,
+                   grid_for(policy, world.size(), depth_hint)) {}
+
+  // Full forward pass; x_global is the (replicated) input feature matrix.
+  // Returns the final features on the rank's input block. If `caches` is
+  // null, runs in inference mode.
+  DenseMatrix<T> forward(const DenseMatrix<T>& x_global,
+                         std::vector<LayerCache>* caches) {
+    AGNN_TRACE_SCOPE("dist.forward", kPhase);
+    const BlockRange vb = layout_->input_rows();
+    DenseMatrix<T> h = x_global.slice_rows(vb.begin, vb.end);
+    if (caches) caches->resize(model_.num_layers());  // keeps slot storage warm
+    for (std::size_t l = 0; l < model_.num_layers(); ++l) {
+      h = layer_forward(model_.layer(l), h, caches ? &(*caches)[l] : nullptr);
+    }
+    return h;
   }
 
-  const BlockRange& row_block() const { return ri_; }
-  const BlockRange& col_block() const { return cj_; }
-  const CsrMatrix<T>& local_adjacency() const { return a_loc_; }
-
-  // Reassemble a layout-B distributed matrix into the full global matrix.
-  DenseMatrix<T> gather_layout_b(const DenseMatrix<T>& local_b) {
-    AGNN_ASSERT(local_b.rows() == cj_.size(), "gather: not a layout-B block");
-    // Blocks C_0..C_{q-1} are held (among others) by ranks (0, 0)..(0, q-1),
-    // which are world ranks 0..q-1 — exactly rank order for allgatherv.
-    std::span<const T> contrib;
-    if (gi_ == 0) contrib = local_b.flat();
-    const std::vector<T> flat = this->world_.allgatherv(contrib);
-    AGNN_ASSERT(static_cast<index_t>(flat.size()) == this->n_ * local_b.cols(),
-                "gather: unexpected total size");
-    return DenseMatrix<T>(this->n_, local_b.cols(), flat);
+  // Inference with a final gather of the global output (for validation and
+  // examples; the gather itself is a debug output path).
+  DenseMatrix<T> infer(const DenseMatrix<T>& x_global) {
+    return layout_->gather(forward(x_global, nullptr));
   }
 
-  DenseMatrix<T> gather_output(const DenseMatrix<T>& local_b) {
-    return gather_layout_b(local_b);
+  // One full-batch training step. Labels and mask are replicated (like the
+  // input features). Gradients are globally allreduced, so the per-rank
+  // model replicas stay bitwise in sync.
+  StepResult train_step(const DenseMatrix<T>& x_global,
+                        std::span<const index_t> labels, Optimizer<T>& opt,
+                        std::span<const std::uint8_t> mask = {}) {
+    AGNN_TRACE_SCOPE("dist.train_step", kPhase);
+    const DenseMatrix<T> h = forward(x_global, &caches_);
+
+    // Loss on the input block, normalized by the global active count.
+    index_t active = 0;
+    for (index_t i = 0; i < static_cast<index_t>(labels.size()); ++i) {
+      if (mask.empty() || mask[static_cast<std::size_t>(i)]) ++active;
+    }
+    const BlockRange vb = layout_->input_rows();
+    const auto b = static_cast<std::size_t>(vb.begin);
+    const auto len = static_cast<std::size_t>(vb.size());
+    LossResult<T> loss = softmax_cross_entropy(
+        h, labels.subspan(b, len), mask.empty() ? mask : mask.subspan(b, len),
+        active);
+    // Scalar loss: ranks holding a replica of a block must not double-count.
+    std::vector<T> loss_buf{layout_->owns_input_copy() ? loss.value : T(0)};
+    world().allreduce_sum(std::span<T>(loss_buf));
+
+    // G^L = nabla_H L ⊙ sigma'(Z^L), locally on the input block.
+    const auto& last = model_.layer(model_.num_layers() - 1);
+    DenseMatrix<T> g =
+        activation_backward(last.activation(), caches_.back().z_v, loss.grad);
+    std::vector<LayerGrads<T>> grads(model_.num_layers());
+    for (std::size_t l = model_.num_layers(); l-- > 0;) {
+      DenseMatrix<T> gamma = layer_backward(model_.layer(l), caches_[l], g, grads[l]);
+      if (l > 0) {
+        g = activation_backward(model_.layer(l - 1).activation(),
+                                caches_[l - 1].z_v, gamma);
+      }
+    }
+    model_.apply_gradients(grads, opt);
+    return {loss_buf[0]};
   }
+
+  // The world communicator (exposed so the recovery loop can barrier and
+  // rendezvous on the same group the engine trains over).
+  comm::Communicator& world() { return layout_->world(); }
+  DistPolicy policy() const { return policy_; }
+  index_t num_vertices() const { return layout_->num_vertices(); }
+  Workspace<T>& workspace() { return ws_; }
+  const WorkspaceStats& workspace_stats() const { return ws_.stats(); }
 
  private:
-  // ---- engine-core policy hooks ---------------------------------------------
+  // ---- forward ---------------------------------------------------------------
 
-  BlockRange input_block() const { return cj_; }
-  // Blocks are replicated across grid rows: only row 0 contributes to sums
-  // over the global vertex set (loss, output gather).
-  bool counts_in_loss() const { return gi_ == 0; }
-  const DenseMatrix<T>& cached_z(const DistLayerCache<T>& c) const {
-    return c.z_b;
-  }
-
-  // ---- layout exchange helpers ----------------------------------------------
-
-  // Transpose-partner exchange: give my layout-B block, receive the
-  // partner's — which is exactly my layout-R block (rows R_i). Also used in
-  // the other direction (R -> B). One block of nk/sqrt(p) words per rank.
-  void partner_exchange(const DenseMatrix<T>& mine, index_t out_rows,
-                        DenseMatrix<T>& out) {
-    out.resize(out_rows, mine.cols());
-    auto win = this->world_.expose(std::span<const T>(mine.flat()));
-    win.get(out.flat(), grid_.partner_of(this->world_.rank()), 0);
-    win.close();
-  }
-
-  DenseMatrix<T> partner_exchange(const DenseMatrix<T>& mine, index_t out_rows) {
-    DenseMatrix<T> out;
-    partner_exchange(mine, out_rows, out);
-    return out;
-  }
-
-  void partner_exchange_vec(const std::vector<T>& mine, index_t out_len,
-                            std::vector<T>& out) {
-    out.resize(static_cast<std::size_t>(out_len));
-    auto win = this->world_.expose(std::span<const T>(mine));
-    win.get(std::span<T>(out), grid_.partner_of(this->world_.rank()), 0);
-    win.close();
-  }
-
-  std::vector<T> partner_exchange_vec(const std::vector<T>& mine, index_t out_len) {
-    std::vector<T> out;
-    partner_exchange_vec(mine, out_len, out);
-    return out;
-  }
-
-  // ---- per-layer forward -----------------------------------------------------
-
-  DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_b,
-                               DistLayerCache<T>* cache) {
-    AGNN_TRACE_SCOPE("dist1_5d.layer_forward", kPhase);
-    typename Base::LayerParams params = this->broadcast_params(layer);
-    const DenseMatrix<T>& w = params.w;
-    const std::vector<T>& a = params.a;
-    const DenseMatrix<T>& w2 = params.w2;
+  DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_v,
+                               LayerCache* cache) {
+    AGNN_TRACE_SCOPE("dist.layer_forward", kPhase);
+    // Parameters are replicated: broadcast from rank 0 (values are already
+    // identical; this charges the O(k^2) parameter-movement term).
+    DenseMatrix<T> w = layer.weights();
+    world().broadcast(w.flat(), 0);
+    std::vector<T> att = layer.attention_params();
+    if (!att.empty()) world().broadcast(std::span<T>(att), 0);
+    DenseMatrix<T> w2 = layer.weights2();
+    if (!w2.empty()) world().broadcast(w2.flat(), 0);
 
     // All intermediates live in the cache slots (or a throwaway scratch in
     // inference mode), overwritten in place across steps.
-    DistLayerCache<T> scratch;
-    DistLayerCache<T>& c = cache ? *cache : scratch;
-    const DenseMatrix<T>* x_b = &h_b;  // aggregation input
+    LayerCache scratch;
+    LayerCache& c = cache ? *cache : scratch;
+    Layout<T>& lay = *layout_;
+    const CsrMatrix<T>& a = lay.adjacency();
+    c.ph_r.resize(a.rows(), h_v.cols());
+    c.ph_r.set_zero();
 
     switch (layer.kind()) {
-      case ModelKind::kGCN: {
-        c.psi_loc = a_loc_;
+      case ModelKind::kGCN:
+        staged(h_v, c.h_c, "summa.stage_spmm",
+               [&](const Stage& s) { stage_spmm(a, s, c.h_c, c.ph_r); });
         break;
-      }
-      case ModelKind::kGIN: {
-        // Plain-sum aggregation over A; the (1+eps) self term needs the
-        // R_i rows of H, which arrive via the partner exchange.
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        c.psi_loc = a_loc_;
+      case ModelKind::kGIN:
+        // Plain-sum aggregation over A; the (1+eps) self term needs H_R.
+        lay.fetch_rows(h_v, c.h_r);
+        staged(h_v, c.h_c, "summa.stage_spmm",
+               [&](const Stage& s) { stage_spmm(a, s, c.h_c, c.ph_r); });
         break;
-      }
-      case ModelKind::kVA: {
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        comm::ComputeRegion t(this->world_.stats());
-        sddmm(a_loc_, c.h_r, h_b, c.psi_loc);
+      case ModelKind::kVA:
+        lay.fetch_rows(h_v, c.h_r);
+        c.psi = a;
+        staged(h_v, c.h_c, "summa.stage_spmm", [&](const Stage& s) {
+          // Psi = A ⊙ (H H^T) sampled on the stage's edges, then the stage
+          // SpMM: both touch only the just-landed rows of H_C.
+          auto pv = c.psi.vals_mutable();
+          for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
+            for (index_t e = e0; e < e1; ++e) {
+              pv[static_cast<std::size_t>(e)] =
+                  a.val_at(e) * dot_rows(c.h_r, i, c.h_c, a.col_at(e));
+            }
+          });
+          stage_spmm(c.psi, s, c.h_c, c.ph_r);
+        });
         break;
-      }
       case ModelKind::kAGNN: {
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        comm::ComputeRegion t(this->world_.stats());
-        // Cosine block: sampled dot products divided by the row/col norms.
-        // Norms are local because full feature rows are local in each layout.
-        sddmm_unweighted(a_loc_, c.h_r, h_b, c.cos_loc);
-        auto nr = this->ws_.acquire_vec(ri_.size());
-        auto nc = this->ws_.acquire_vec(cj_.size());
+        lay.fetch_rows(h_v, c.h_r);
+        c.cos = a;
+        c.psi = a;
+        auto nr = ws_.acquire_vec(a.rows());
+        auto nc = ws_.acquire_vec(a.cols());
         inv_row_norms(c.h_r, *nr);
-        inv_row_norms(h_b, *nc);
-        scale_rows_cols<T>(c.cos_loc, nr.cspan(), nc.cspan(), c.cos_loc);
-        hadamard_same_pattern(c.cos_loc, a_loc_, c.psi_loc);
+        staged(h_v, c.h_c, "summa.stage_spmm", [&](const Stage& s) {
+          // Column inverse norms become available as each panel lands.
+          for (index_t x = s.cols.begin; x < s.cols.end; ++x) {
+            const T nx = std::sqrt(dot_rows(c.h_c, x, c.h_c, x));
+            (*nc)[static_cast<std::size_t>(x)] = nx > T(0) ? T(1) / nx : T(0);
+          }
+          auto cv = c.cos.vals_mutable();
+          auto pv = c.psi.vals_mutable();
+          for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
+            const T ni = (*nr)[static_cast<std::size_t>(i)];
+            for (index_t e = e0; e < e1; ++e) {
+              const index_t col = a.col_at(e);
+              const T cos = dot_rows(c.h_r, i, c.h_c, col) * ni *
+                            (*nc)[static_cast<std::size_t>(col)];
+              cv[static_cast<std::size_t>(e)] = cos;
+              pv[static_cast<std::size_t>(e)] = cos * a.val_at(e);
+            }
+          });
+          stage_spmm(c.psi, s, c.h_c, c.ph_r);
+        });
         break;
       }
       case ModelKind::kGAT: {
+        const auto k_out = static_cast<std::size_t>(layer.out_features());
+        const std::span<const T> a1 = std::span<const T>(att).subspan(0, k_out);
+        const std::span<const T> a2 = std::span<const T>(att).subspan(k_out);
+        std::vector<T> s1_v;
         {
-          comm::ComputeRegion t(this->world_.stats());
-          matmul(h_b, w, c.hp_b);
-          const std::span<const T> a_all(a);
-          const auto a2 = a_all.subspan(static_cast<std::size_t>(layer.out_features()));
-          matvec(c.hp_b, a2, c.s2_b);
+          comm::ComputeRegion cr(world().stats());
+          matmul(h_v, w, c.hp_v);
+          matvec(c.hp_v, a1, s1_v);
         }
-        std::vector<T> s1_b = matvec(c.hp_b, std::span<const T>(a).subspan(
-                                                 0, static_cast<std::size_t>(
-                                                        layer.out_features())));
-        partner_exchange_vec(s1_b, ri_.size(), c.s1_r);
-        {
-          comm::ComputeRegion t(this->world_.stats());
-          // E block: A ⊙ LeakyReLU(s1 1^T + 1 s2^T) sampled on the edges.
-          c.scores_pre_loc = a_loc_;
-          c.psi_loc = a_loc_;
-          auto pre = c.scores_pre_loc.vals_mutable();
-          auto ev = c.psi_loc.vals_mutable();
-          const T slope = layer.attention_slope();
-          for (index_t i = 0; i < a_loc_.rows(); ++i) {
+        lay.fetch_rows(s1_v, c.s1_r);
+        c.scores_pre = a;
+        c.psi = a;
+        c.s2_c.assign(static_cast<std::size_t>(a.cols()), T(0));
+        const T slope = layer.attention_slope();
+        // The stages fill the raw E block; the softmax and the aggregation
+        // SpMM need whole rows, so they run after the last stage.
+        staged(c.hp_v, c.hp_c, "summa.stage_scores", [&](const Stage& s) {
+          for (index_t x = s.cols.begin; x < s.cols.end; ++x) {
+            const T* row = c.hp_c.data() + x * c.hp_c.cols();
+            T acc = T(0);
+            for (std::size_t f = 0; f < k_out; ++f) acc += row[f] * a2[f];
+            c.s2_c[static_cast<std::size_t>(x)] = acc;
+          }
+          auto pre = c.scores_pre.vals_mutable();
+          auto ev = c.psi.vals_mutable();
+          for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
             const T s1i = c.s1_r[static_cast<std::size_t>(i)];
-            for (index_t e = a_loc_.row_begin(i); e < a_loc_.row_end(i); ++e) {
-              const T cv = s1i + c.s2_b[static_cast<std::size_t>(a_loc_.col_at(e))];
+            for (index_t e = e0; e < e1; ++e) {
+              const T cv = s1i + c.s2_c[static_cast<std::size_t>(a.col_at(e))];
               pre[static_cast<std::size_t>(e)] = cv;
               ev[static_cast<std::size_t>(e)] =
-                  a_loc_.val_at(e) * (cv > T(0) ? cv : slope * cv);
+                  a.val_at(e) * (cv > T(0) ? cv : slope * cv);
             }
-          }
-        }
-        dist_row_softmax_inplace(c.psi_loc, row_comm_, this->ws_);
-        x_b = &c.hp_b;
+          });
+        });
+        dist_row_softmax_inplace(c.psi, lay, ws_);
+        comm::ComputeRegion cr(world().stats());
+        spmm(c.psi, c.hp_c, c.ph_r);
         break;
       }
     }
 
-    // Aggregation: local block SpMM, then reduce partial sums along the row.
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      spmm(c.psi_loc, *x_b, c.ph_r);
-    }
-    row_comm_.allreduce_sum(c.ph_r.flat());
+    // Partial sums from every column block of the row complete (Psi H)_R.
+    lay.reduce_rows(c.ph_r.flat());
     // Z in layout R: for GAT it is the reduced aggregate itself; for the
     // others a pooled buffer holds the projection.
     const DenseMatrix<T>* z_r = &c.ph_r;
-    auto z_r_h = this->ws_.acquire_dense(ri_.size(), layer.out_features());
+    auto z_r_h = ws_.acquire_dense(a.rows(), layer.out_features());
     {
-      comm::ComputeRegion t(this->world_.stats());
-      switch (layer.kind()) {
-        case ModelKind::kGAT:
-          break;
-        case ModelKind::kGIN:
-          // X = (A H) + (1+eps) H, then the per-row MLP.
-          axpy(T(1) + layer.gin_epsilon(), c.h_r, c.ph_r);
-          matmul(c.ph_r, w, c.mlp_pre_r);
-          activate(layer.mlp_activation(), c.mlp_pre_r, c.mlp_hidden_r, T(0.01));
-          matmul(c.mlp_hidden_r, w2, *z_r_h);
-          z_r = &*z_r_h;
-          break;
-        default:
-          matmul(c.ph_r, w, *z_r_h);
-          z_r = &*z_r_h;
+      comm::ComputeRegion cr(world().stats());
+      if (layer.kind() == ModelKind::kGIN) {
+        // X = (A H) + (1+eps) H, then the per-row MLP.
+        axpy(T(1) + layer.gin_epsilon(), c.h_r, c.ph_r);
+        matmul(c.ph_r, w, c.mlp_pre_r);
+        activate(layer.mlp_activation(), c.mlp_pre_r, c.mlp_hidden_r, T(0.01));
+        matmul(c.mlp_hidden_r, w2, *z_r_h);
+        z_r = &*z_r_h;
+      } else if (layer.kind() != ModelKind::kGAT) {
+        matmul(c.ph_r, w, *z_r_h);
+        z_r = &*z_r_h;
       }
     }
-    // Redistribute Z from layout R to layout B to link into the next layer.
-    partner_exchange(*z_r, cj_.size(), c.z_b);
+    // Redistribute Z to the input layout for the next layer.
+    lay.to_input(*z_r, c.z_v);
     DenseMatrix<T> h_out;
     {
-      comm::ComputeRegion t(this->world_.stats());
-      activate(layer.activation(), c.z_b, h_out, T(0.01));
+      comm::ComputeRegion cr(world().stats());
+      activate(layer.activation(), c.z_v, h_out, T(0.01));
     }
-    if (cache) c.h_b = h_b;
+    if (cache) c.h_v = h_v;
     return h_out;
   }
 
-  // ---- per-layer backward -----------------------------------------------------
-
-  DenseMatrix<T> layer_backward(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                                const DenseMatrix<T>& g_b, LayerGrads<T>& grads) {
-    AGNN_TRACE_SCOPE("dist1_5d.layer_backward", kPhase);
-    const DenseMatrix<T>& w = layer.weights();
-    switch (layer.kind()) {
-      case ModelKind::kGCN: return backward_gcn(layer, cache, g_b, grads, w);
-      case ModelKind::kVA: return backward_va(layer, cache, g_b, grads, w);
-      case ModelKind::kAGNN: return backward_agnn(layer, cache, g_b, grads, w);
-      case ModelKind::kGAT: return backward_gat(layer, cache, g_b, grads, w);
-      case ModelKind::kGIN: return backward_gin(layer, cache, g_b, grads, w);
-    }
-    AGNN_ASSERT(false, "unknown model kind");
-    return {};
+  // Assemble the column operand, running `fn` on each stage as a traced
+  // kernel (`span` keeps the SUMMA stage names the trace tooling reads).
+  template <typename Fn>
+  void staged(const DenseMatrix<T>& x_v, DenseMatrix<T>& x_c, const char* span,
+              Fn&& fn) {
+    layout_->assemble_cols(x_v, x_c, [&](const Stage& s) {
+      comm::ComputeRegion cr(world().stats());
+      const obs::SpanScope scope(span, obs::SpanCategory::kKernel);
+      fn(s);
+    });
   }
 
-  DenseMatrix<T> backward_gcn(const Layer<T>&, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-    comm::ComputeRegion t(this->world_.stats());
-    DenseMatrix<T> m_r = matmul_nt(g_r, w);
-    DenseMatrix<T> gamma_b = spmm(a_loc_t_, m_r);
-    col_comm_.allreduce_sum(gamma_b.flat());
-    return gamma_b;
+  // Row-parallel loop over a stage: f(i, first edge, end edge) of each row.
+  template <typename F>
+  static void for_stage_rows(const Stage& s, index_t rows, F&& f) {
+#pragma omp parallel for schedule(dynamic, 64)
+    for (index_t i = 0; i < rows; ++i) f(i, s.begin(i), s.end(i));
+  }
+
+  // acc += Psi x_c over the stage's edges.
+  static void stage_spmm(const CsrMatrix<T>& psi, const Stage& s,
+                         const DenseMatrix<T>& x_c, DenseMatrix<T>& acc) {
+    const index_t k = x_c.cols();
+    for_stage_rows(s, psi.rows(), [&](index_t i, index_t e0, index_t e1) {
+      T* out = acc.data() + i * k;
+      for (index_t e = e0; e < e1; ++e) {
+        const T av = psi.val_at(e);
+        const T* src = x_c.data() + psi.col_at(e) * k;
+        for (index_t f = 0; f < k; ++f) out[f] += av * src[f];
+      }
+    });
+  }
+
+  static T dot_rows(const DenseMatrix<T>& x, index_t i, const DenseMatrix<T>& y,
+                    index_t j) {
+    const T* xi = x.data() + i * x.cols();
+    const T* yj = y.data() + j * y.cols();
+    T acc = T(0);
+    for (index_t f = 0; f < x.cols(); ++f) acc += xi[f] * yj[f];
+    return acc;
+  }
+
+  static void inv_row_norms(const DenseMatrix<T>& h, std::vector<T>& n) {
+    row_l2_norms(h, n);
+    for (auto& v : n) v = v > T(0) ? T(1) / v : T(0);
+  }
+
+  // ---- backward --------------------------------------------------------------
+
+  DenseMatrix<T> layer_backward(const Layer<T>& layer, const LayerCache& c,
+                                const DenseMatrix<T>& g_v, LayerGrads<T>& grads) {
+    AGNN_TRACE_SCOPE("dist.layer_backward", kPhase);
+    DenseMatrix<T> g_r;
+    layout_->fetch_rows(g_v, g_r);
+    DenseMatrix<T> gamma_v;
+    switch (layer.kind()) {
+      case ModelKind::kGCN: gamma_v = backward_gcn(layer, c, g_r, grads); break;
+      case ModelKind::kGIN: gamma_v = backward_gin(layer, c, g_r, grads); break;
+      case ModelKind::kVA: gamma_v = backward_va(layer, c, g_r, grads); break;
+      case ModelKind::kAGNN: gamma_v = backward_agnn(layer, c, g_r, grads); break;
+      case ModelKind::kGAT: gamma_v = backward_gat(layer, c, g_r, grads); break;
+    }
+    // The parameter gradients hold this rank's share; summing them last
+    // lets the replicas that skip the weight GEMMs run ahead meanwhile.
+    world().allreduce_sum(grads.d_w.flat());
+    if (!grads.d_w2.empty()) world().allreduce_sum(grads.d_w2.flat());
+    if (!grads.d_a.empty()) world().allreduce_sum(std::span<T>(grads.d_a));
+    return gamma_v;
+  }
+
+  DenseMatrix<T> backward_gcn(const Layer<T>& layer, const LayerCache& c,
+                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    grads.d_w = weight_grad_r(c.ph_r, g_r);
+    DenseMatrix<T> col_c;
+    {
+      comm::ComputeRegion cr(world().stats());
+      const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
+      col_c = spmm(layout_->adjacency_t(), m_r);
+    }
+    return combine_partials(col_c, nullptr);
   }
 
   // GIN: dW2 = hidden^T G, dPre = (G W2^T) ⊙ sigma_mlp'(pre),
   // dW = X^T dPre, dX = dPre W^T, Gamma = A^T dX + (1+eps) dX.
-  // All tall operands are cached in layout R; G is fetched into layout R.
-  DenseMatrix<T> backward_gin(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w2 = weight_grad_r(cache.mlp_hidden_r, g_r);
-    DenseMatrix<T> dx_r, gamma_b;
+  DenseMatrix<T> backward_gin(const Layer<T>& layer, const LayerCache& c,
+                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    grads.d_w2 = weight_grad_r(c.mlp_hidden_r, g_r);
+    DenseMatrix<T> d_pre;
     {
-      comm::ComputeRegion t(this->world_.stats());
+      comm::ComputeRegion cr(world().stats());
       const DenseMatrix<T> d_hidden = matmul_nt(g_r, layer.weights2());
-      const DenseMatrix<T> d_pre = activation_backward(
-          layer.mlp_activation(), cache.mlp_pre_r, d_hidden, T(0.01));
-      // dW contribution from column 0 of the grid (layout-R replication).
-      DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-      if (gj_ == 0) dw = matmul_tn(cache.ph_r, d_pre);
-      grads.d_w = std::move(dw);
-      dx_r = matmul_nt(d_pre, w);
-      gamma_b = spmm(a_loc_t_, dx_r);
+      d_pre = activation_backward(layer.mlp_activation(), c.mlp_pre_r, d_hidden,
+                                  T(0.01));
     }
-    this->world_.allreduce_sum(grads.d_w.flat());
-    col_comm_.allreduce_sum(gamma_b.flat());
-    DenseMatrix<T> dx_b = partner_exchange(dx_r, cj_.size());
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1) + layer.gin_epsilon(), dx_b, gamma_b);
-    return gamma_b;
+    grads.d_w = weight_grad_r(c.ph_r, d_pre);
+    DenseMatrix<T> dx_r, col_c;
+    {
+      comm::ComputeRegion cr(world().stats());
+      dx_r = matmul_nt(d_pre, layer.weights());
+      col_c = spmm(layout_->adjacency_t(), dx_r);
+    }
+    DenseMatrix<T> gamma_v = combine_partials(col_c, nullptr);
+    DenseMatrix<T> dx_v;
+    layout_->to_input(dx_r, dx_v);
+    comm::ComputeRegion cr(world().stats());
+    axpy(T(1) + layer.gin_epsilon(), dx_v, gamma_v);
+    return gamma_v;
   }
 
-  DenseMatrix<T> backward_va(const Layer<T>&, const DistLayerCache<T>& cache,
-                             const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                             const DenseMatrix<T>& w) {
-    DenseMatrix<T> m_b;
+  DenseMatrix<T> backward_va(const Layer<T>& layer, const LayerCache& c,
+                             const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    grads.d_w = weight_grad_r(c.ph_r, g_r);
+    DenseMatrix<T> row_r, col_c;
     {
-      comm::ComputeRegion t(this->world_.stats());
-      m_b = matmul_nt(g_b, w);
+      comm::ComputeRegion cr(world().stats());
+      const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
+      // N = A ⊙ (M H^T): the backward SDDMM on the stationary pattern.
+      const CsrMatrix<T> n_blk = sddmm(layout_->adjacency(), m_r, c.h_c);
+      row_r = spmm(n_blk, c.h_c);
+      col_c = spmm(n_blk.transposed(), c.h_r);
+      spmm_accumulate(c.psi.transposed(), m_r, col_c);
     }
-    const DenseMatrix<T> m_r = partner_exchange(m_b, ri_.size());
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-
-    DenseMatrix<T> nh_r, gamma2_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      // N block = A ⊙ (M H^T): the backward SDDMM on the stationary pattern.
-      const CsrMatrix<T> n_loc = sddmm(a_loc_, m_r, cache.h_b);
-      nh_r = spmm(n_loc, cache.h_b);
-      gamma2_b = spmm(n_loc.transposed(), cache.h_r);
-      spmm_accumulate(cache.psi_loc.transposed(), m_r, gamma2_b);
-    }
-    row_comm_.allreduce_sum(nh_r.flat());
-    col_comm_.allreduce_sum(gamma2_b.flat());
-    DenseMatrix<T> gamma_b = partner_exchange(nh_r, cj_.size());
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1), gamma2_b, gamma_b);
-    return gamma_b;
+    return combine_partials(col_c, &row_r);
   }
 
-  DenseMatrix<T> backward_agnn(const Layer<T>&, const DistLayerCache<T>& cache,
-                               const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                               const DenseMatrix<T>& w) {
-    DenseMatrix<T> m_b;
+  DenseMatrix<T> backward_agnn(const Layer<T>& layer, const LayerCache& c,
+                               const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    grads.d_w = weight_grad_r(c.ph_r, g_r);
+    DenseMatrix<T> row_r, col_c;
     {
-      comm::ComputeRegion t(this->world_.stats());
-      m_b = matmul_nt(g_b, w);
+      comm::ComputeRegion cr(world().stats());
+      const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
+      // D = dL/dcos on the edges; cos_ij = <h_i, h_j> / (|h_i| |h_j|).
+      const CsrMatrix<T> d = sddmm(layout_->adjacency(), m_r, c.h_c);
+      const CsrMatrix<T> dc = hadamard_same_pattern(d, c.cos);
+      std::vector<T> norms_r, norms_c;
+      const DenseMatrix<T> hhat_r = unit_rows(c.h_r, norms_r);
+      const DenseMatrix<T> hhat_c = unit_rows(c.h_c, norms_c);
+      row_r = spmm(d, hhat_c);
+      col_c = spmm(d.transposed(), hhat_r);
+      // Both sides are linear in the partials, so the norm projection runs
+      // before the reductions.
+      project_rows(row_r, sparse_row_sums(dc), hhat_r, norms_r);
+      project_rows(col_c, sparse_col_sums(dc), hhat_c, norms_c);
+      spmm_accumulate(c.psi.transposed(), m_r, col_c);
     }
-    const DenseMatrix<T> m_r = partner_exchange(m_b, ri_.size());
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
+    return combine_partials(col_c, &row_r);
+  }
 
-    DenseMatrix<T> dh_r, dth_b, gamma_agg_b;
-    std::vector<T> rs_r, cs_b;
-    std::vector<T> norms_b;
-    DenseMatrix<T> hhat_b, hhat_r;
+  DenseMatrix<T> backward_gat(const Layer<T>& layer, const LayerCache& c,
+                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    const CsrMatrix<T>& a = layout_->adjacency();
+    const CsrMatrix<T>& psi = c.psi;
+    const auto k_out = static_cast<std::size_t>(layer.out_features());
+    const std::span<const T> a_all(layer.attention_params());
+    const auto a1 = a_all.subspan(0, k_out);
+    const auto a2 = a_all.subspan(k_out);
+
+    CsrMatrix<T> d_psi;
+    std::vector<T> dots(static_cast<std::size_t>(a.rows()), T(0));
     {
-      comm::ComputeRegion t(this->world_.stats());
-      const CsrMatrix<T> d_loc = sddmm(a_loc_, m_r, cache.h_b);
-      const CsrMatrix<T> dc = hadamard_same_pattern(d_loc, cache.cos_loc);
-      rs_r = sparse_row_sums(dc);
-      cs_b = sparse_col_sums(dc);
-      norms_b = row_l2_norms(cache.h_b);
-      hhat_b = unit_rows(cache.h_b);
-      hhat_r = unit_rows(cache.h_r);
-      dh_r = spmm(d_loc, hhat_b);
-      dth_b = spmm(d_loc.transposed(), hhat_r);
-      gamma_agg_b = spmm(cache.psi_loc.transposed(), m_r);
+      comm::ComputeRegion cr(world().stats());
+      d_psi = sddmm_unweighted(psi, g_r, c.hp_c);
+      for (index_t i = 0; i < a.rows(); ++i) {
+        T acc = T(0);
+        for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
+          acc += psi.val_at(e) * d_psi.val_at(e);
+        }
+        dots[static_cast<std::size_t>(i)] = acc;
+      }
     }
-    row_comm_.allreduce_sum(std::span<T>(rs_r));
-    col_comm_.allreduce_sum(std::span<T>(cs_b));
-    row_comm_.allreduce_sum(dh_r.flat());
-    col_comm_.allreduce_sum(dth_b.flat());
-    col_comm_.allreduce_sum(gamma_agg_b.flat());
-    const std::vector<T> rs_b = partner_exchange_vec(rs_r, cj_.size());
-    DenseMatrix<T> sum_b = partner_exchange(dh_r, cj_.size());
+    // The softmax Jacobian's per-row dot spans the row family.
+    layout_->reduce_rows(std::span<T>(dots));
 
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1), dth_b, sum_b);
-    const index_t k = sum_b.cols();
-    for (index_t i = 0; i < sum_b.rows(); ++i) {
-      const T ni = norms_b[static_cast<std::size_t>(i)];
-      T* row = sum_b.data() + i * k;
+    std::vector<T> ds1_r, da(2 * k_out, T(0));
+    DenseMatrix<T> col_c;
+    {
+      comm::ComputeRegion cr(world().stats());
+      CsrMatrix<T> d_c = d_psi;
+      auto v = d_c.vals_mutable();
+      const auto pre = c.scores_pre.vals();
+      const T slope = layer.attention_slope();
+      for (index_t i = 0; i < a.rows(); ++i) {
+        const T dot = dots[static_cast<std::size_t>(i)];
+        for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
+          const T de = psi.val_at(e) * (d_psi.val_at(e) - dot);
+          const T cv = pre[static_cast<std::size_t>(e)];
+          v[static_cast<std::size_t>(e)] =
+              de * a.val_at(e) * (cv > T(0) ? T(1) : slope);
+        }
+      }
+      ds1_r = sparse_row_sums(d_c);
+      const std::vector<T> ds2_c = sparse_col_sums(d_c);
+      col_c = spmm(psi.transposed(), g_r);
+      add_outer_inplace(col_c, std::span<const T>(ds2_c), a2);
+      // da2 = H'^T ds2: the A blocks partition the edges, so every rank's
+      // column partial adds in once through the da allreduce.
+      const std::vector<T> da2 = matvec_tn(c.hp_c, std::span<const T>(ds2_c));
+      std::copy(da2.begin(), da2.end(), da.begin() + static_cast<std::ptrdiff_t>(k_out));
+    }
+    layout_->reduce_rows(std::span<T>(ds1_r));
+    std::vector<T> ds1_v;
+    layout_->to_input(ds1_r, ds1_v);
+    DenseMatrix<T> dhp_v;
+    layout_->reduce_cols(col_c, dhp_v);
+
+    // dW and da1 come from V rows, replicated on the other input copies.
+    const DenseMatrix<T>& w = layer.weights();
+    DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
+    {
+      comm::ComputeRegion cr(world().stats());
+      add_outer_inplace(dhp_v, std::span<const T>(ds1_v), a1);
+      if (layout_->owns_input_copy()) {
+        dw = matmul_tn(c.h_v, dhp_v);
+        const std::vector<T> da1 = matvec_tn(c.hp_v, std::span<const T>(ds1_v));
+        std::copy(da1.begin(), da1.end(), da.begin());
+      }
+    }
+    grads.d_w = std::move(dw);
+    grads.d_a = std::move(da);
+
+    comm::ComputeRegion cr(world().stats());
+    return matmul_nt(dhp_v, w);
+  }
+
+  // This rank's share of dW = sum over R blocks of X_R^T G_R: layout-R rows
+  // are identical across the row family, so one copy contributes.
+  DenseMatrix<T> weight_grad_r(const DenseMatrix<T>& x_r, const DenseMatrix<T>& g_r) {
+    DenseMatrix<T> dw(x_r.cols(), g_r.cols(), T(0));
+    if (layout_->owns_row_copy()) {
+      comm::ComputeRegion cr(world().stats());
+      dw = matmul_tn(x_r, g_r);
+    }
+    return dw;
+  }
+
+  // Gamma_V = (column partials summed over the column family) + (row
+  // partials, if any, summed over the row family and moved to V).
+  DenseMatrix<T> combine_partials(const DenseMatrix<T>& col_c, DenseMatrix<T>* row_r) {
+    DenseMatrix<T> gamma_v, row_v;
+    if (row_r) {
+      layout_->reduce_rows(row_r->flat());
+      layout_->to_input(*row_r, row_v);
+    }
+    layout_->reduce_cols(col_c, gamma_v);
+    if (row_r) {
+      comm::ComputeRegion cr(world().stats());
+      axpy(T(1), row_v, gamma_v);
+    }
+    return gamma_v;
+  }
+
+  // Row-normalized copy of h; `norms` receives the row norms.
+  static DenseMatrix<T> unit_rows(const DenseMatrix<T>& h, std::vector<T>& norms) {
+    DenseMatrix<T> out = h;
+    row_l2_norms(h, norms);
+    for (index_t i = 0; i < h.rows(); ++i) {
+      const T ni = norms[static_cast<std::size_t>(i)];
+      if (ni <= T(0)) continue;
+      T* row = out.data() + i * h.cols();
+      for (index_t j = 0; j < h.cols(); ++j) row[j] /= ni;
+    }
+    return out;
+  }
+
+  // The chain rule through h_i / |h_i|: g_i <- (g_i - s_i hhat_i) / |h_i|,
+  // zero where |h_i| = 0.
+  static void project_rows(DenseMatrix<T>& g, const std::vector<T>& s,
+                           const DenseMatrix<T>& hhat, const std::vector<T>& norms) {
+    const index_t k = g.cols();
+    for (index_t i = 0; i < g.rows(); ++i) {
+      const T ni = norms[static_cast<std::size_t>(i)];
+      T* row = g.data() + i * k;
       if (ni <= T(0)) {
         for (index_t j = 0; j < k; ++j) row[j] = T(0);
         continue;
       }
-      const T coef = rs_b[static_cast<std::size_t>(i)] + cs_b[static_cast<std::size_t>(i)];
-      const T* hh = hhat_b.data() + i * k;
+      const T coef = s[static_cast<std::size_t>(i)];
+      const T* hh = hhat.data() + i * k;
       const T inv = T(1) / ni;
       for (index_t j = 0; j < k; ++j) row[j] = (row[j] - coef * hh[j]) * inv;
     }
-    axpy(T(1), gamma_agg_b, sum_b);
-    return sum_b;
   }
 
-  DenseMatrix<T> backward_gat(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    const index_t k_out = layer.out_features();
-    const std::span<const T> a_all(layer.attention_params());
-    const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out));
-    const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out));
-
-    CsrMatrix<T> d_psi;
-    std::vector<T> dots_r(static_cast<std::size_t>(ri_.size()), T(0));
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      d_psi = sddmm(cache.psi_loc.with_values(T(1)), g_r, cache.hp_b);
-      for (index_t i = 0; i < cache.psi_loc.rows(); ++i) {
-        T acc = T(0);
-        for (index_t e = cache.psi_loc.row_begin(i); e < cache.psi_loc.row_end(i); ++e) {
-          acc += cache.psi_loc.val_at(e) * d_psi.val_at(e);
-        }
-        dots_r[static_cast<std::size_t>(i)] = acc;
-      }
-    }
-    // The softmax Jacobian's per-row dot spans the whole grid row.
-    row_comm_.allreduce_sum(std::span<T>(dots_r));
-
-    std::vector<T> ds1_r, ds2_b;
-    DenseMatrix<T> dhp_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      CsrMatrix<T> d_c = d_psi;
-      auto v = d_c.vals_mutable();
-      const auto pre = cache.scores_pre_loc.vals();
-      const T slope = layer.attention_slope();
-      for (index_t i = 0; i < d_c.rows(); ++i) {
-        const T dot = dots_r[static_cast<std::size_t>(i)];
-        for (index_t e = d_c.row_begin(i); e < d_c.row_end(i); ++e) {
-          const T de = cache.psi_loc.val_at(e) * (d_psi.val_at(e) - dot);
-          const T c = pre[static_cast<std::size_t>(e)];
-          v[static_cast<std::size_t>(e)] =
-              de * a_loc_.val_at(e) * (c > T(0) ? T(1) : slope);
-        }
-      }
-      ds1_r = sparse_row_sums(d_c);
-      ds2_b = sparse_col_sums(d_c);
-      dhp_b = spmm(cache.psi_loc.transposed(), g_r);
-    }
-    row_comm_.allreduce_sum(std::span<T>(ds1_r));
-    col_comm_.allreduce_sum(std::span<T>(ds2_b));
-    col_comm_.allreduce_sum(dhp_b.flat());
-    const std::vector<T> ds1_b = partner_exchange_vec(ds1_r, cj_.size());
-
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      add_outer_inplace(dhp_b, std::span<const T>(ds1_b), a1);
-      add_outer_inplace(dhp_b, std::span<const T>(ds2_b), a2);
-    }
-
-    // Parameter gradients: layout-B contributions are replicated across grid
-    // rows, so only grid row 0 contributes before the global allreduce.
-    DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-    std::vector<T> da(static_cast<std::size_t>(2 * k_out), T(0));
-    if (gi_ == 0) {
-      comm::ComputeRegion t(this->world_.stats());
-      dw = matmul_tn(cache.h_b, dhp_b);
-      const std::vector<T> da1 = matvec_tn(cache.hp_b, std::span<const T>(ds1_b));
-      const std::vector<T> da2 = matvec_tn(cache.hp_b, std::span<const T>(ds2_b));
-      std::copy(da1.begin(), da1.end(), da.begin());
-      std::copy(da2.begin(), da2.end(), da.begin() + k_out);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    this->world_.allreduce_sum(std::span<T>(da));
-    grads.d_w = std::move(dw);
-    grads.d_a = std::move(da);
-
-    comm::ComputeRegion t(this->world_.stats());
-    return matmul_nt(dhp_b, w);
-  }
-
-  // dW = sum_i (PH)_Ri^T G_Ri: layout-R contributions are replicated across
-  // grid columns, so only grid column 0 contributes, then allreduce.
-  DenseMatrix<T> weight_grad_r(const DenseMatrix<T>& ph_r, const DenseMatrix<T>& g_r) {
-    DenseMatrix<T> dw(ph_r.cols(), g_r.cols(), T(0));
-    if (gj_ == 0) {
-      comm::ComputeRegion t(this->world_.stats());
-      dw = matmul_tn(ph_r, g_r);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    return dw;
-  }
-
-  ProcessGrid grid_;
-  int gi_, gj_;
-  comm::Communicator row_comm_, col_comm_;
-  BlockRange ri_, cj_;
-  CsrMatrix<T> a_loc_;
-  CsrMatrix<T> a_loc_t_;
+  DistPolicy policy_;
+  std::unique_ptr<Layout<T>> layout_;
+  GnnModel<T>& model_;
+  Workspace<T> ws_;                 // per-rank scratch pool
+  std::vector<LayerCache> caches_;  // persistent training caches
 };
 
 }  // namespace agnn::dist

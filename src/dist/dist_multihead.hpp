@@ -1,10 +1,10 @@
 // Distributed multi-head GAT on the 1.5D process grid: each attention head
-// runs the single-head GAT scheme of dist_engine.hpp (stationary 2D sparse
-// blocks, partner feature exchanges, row/column reductions, distributed
-// graph softmax), and the heads' outputs are combined per the layer's
-// concat/average rule. Per rank, per layer: heads x O(n k_head / sqrt(p))
-// words — multi-head attention multiplies the volume by the head count but
-// keeps the sqrt(p) scaling.
+// runs the single-head GAT scheme of dist_engine.hpp over the square-grid
+// layout (dist/layout.hpp: stationary 2D sparse blocks, partner row gets,
+// row/column reductions, distributed graph softmax), and the heads' outputs
+// are combined per the layer's concat/average rule. Per rank, per layer:
+// heads x O(n k_head / sqrt(p)) words — multi-head attention multiplies the
+// volume by the head count but keeps the sqrt(p) scaling.
 #pragma once
 
 #include <vector>
@@ -13,7 +13,7 @@
 #include "core/loss.hpp"
 #include "core/multihead_gat.hpp"
 #include "core/workspace.hpp"
-#include "dist/process_grid.hpp"
+#include "dist/layout.hpp"
 #include "graph/graph.hpp"
 #include "obs/trace.hpp"
 
@@ -32,29 +32,20 @@ struct DistMultiHeadCache {
   std::vector<Head> heads;
 };
 
+// On the square grid the column block C_j is the input block, so a head's
+// H' = H W rows serve as the column operand without any movement.
 template <typename T>
 class DistMultiHeadGatEngine {
  public:
   DistMultiHeadGatEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
                          MultiHeadGat<T>& model)
-      : world_(world),
-        grid_(ProcessGrid::side_for(world.size())),
-        gi_(grid_.row_of(world.rank())),
-        gj_(grid_.col_of(world.rank())),
-        row_comm_(world.split(gi_, gj_)),
-        col_comm_(world.split(grid_.q + gj_, gi_)),
-        n_(a_global.rows()),
-        ri_(block_range(n_, grid_.q, gi_)),
-        cj_(block_range(n_, grid_.q, gj_)),
-        model_(model) {
-    AGNN_ASSERT(a_global.rows() == a_global.cols(), "adjacency must be square");
-    a_loc_ = a_global.block(ri_.begin, ri_.end, cj_.begin, cj_.end);
-  }
+      : layout_(world, a_global), model_(model) {}
 
   DenseMatrix<T> forward(const DenseMatrix<T>& x_global,
                          std::vector<DistMultiHeadCache<T>>* caches) {
     AGNN_TRACE_SCOPE("dist_mh_gat.forward", kPhase);
-    DenseMatrix<T> h_b = x_global.slice_rows(cj_.begin, cj_.end);
+    const BlockRange cj = layout_.input_rows();
+    DenseMatrix<T> h_b = x_global.slice_rows(cj.begin, cj.end);
     if (caches) caches->resize(model_.num_layers());  // keeps slot storage warm
     for (std::size_t l = 0; l < model_.num_layers(); ++l) {
       h_b = layer_forward(model_.layer(l), h_b, caches ? &(*caches)[l] : nullptr);
@@ -66,11 +57,7 @@ class DistMultiHeadGatEngine {
   const WorkspaceStats& workspace_stats() const { return ws_.stats(); }
 
   DenseMatrix<T> infer(const DenseMatrix<T>& x_global) {
-    const DenseMatrix<T> h_b = forward(x_global, nullptr);
-    std::span<const T> contrib;
-    if (gi_ == 0) contrib = h_b.flat();
-    const std::vector<T> flat = world_.allgatherv(contrib);
-    return DenseMatrix<T>(n_, h_b.cols(), flat);
+    return layout_.gather(forward(x_global, nullptr));
   }
 
   struct StepResult {
@@ -88,15 +75,14 @@ class DistMultiHeadGatEngine {
     for (index_t i = 0; i < static_cast<index_t>(labels.size()); ++i) {
       if (mask.empty() || mask[static_cast<std::size_t>(i)]) ++active;
     }
-    const auto local_labels = labels.subspan(static_cast<std::size_t>(cj_.begin),
-                                             static_cast<std::size_t>(cj_.size()));
-    const auto local_mask =
-        mask.empty() ? mask
-                     : mask.subspan(static_cast<std::size_t>(cj_.begin),
-                                    static_cast<std::size_t>(cj_.size()));
-    LossResult<T> loss = softmax_cross_entropy(h_b, local_labels, local_mask, active);
-    std::vector<T> loss_buf{gi_ == 0 ? loss.value : T(0)};
-    world_.allreduce_sum(std::span<T>(loss_buf));
+    const BlockRange cj = layout_.input_rows();
+    const auto b = static_cast<std::size_t>(cj.begin);
+    const auto len = static_cast<std::size_t>(cj.size());
+    LossResult<T> loss = softmax_cross_entropy(
+        h_b, labels.subspan(b, len), mask.empty() ? mask : mask.subspan(b, len),
+        active);
+    std::vector<T> loss_buf{layout_.owns_input_copy() ? loss.value : T(0)};
+    world().allreduce_sum(std::span<T>(loss_buf));
 
     const auto& last = model_.layer(model_.num_layers() - 1);
     DenseMatrix<T> g_b =
@@ -115,84 +101,20 @@ class DistMultiHeadGatEngine {
 
   // The world communicator (exposed so the recovery loop can barrier and
   // rendezvous on the same group the engine trains over).
-  comm::Communicator& world() { return world_; }
+  comm::Communicator& world() { return layout_.world(); }
 
  private:
-  void partner_exchange(const DenseMatrix<T>& mine, index_t out_rows,
-                        DenseMatrix<T>& out) {
-    out.resize(out_rows, mine.cols());
-    auto win = world_.expose(std::span<const T>(mine.flat()));
-    win.get(out.flat(), grid_.partner_of(world_.rank()), 0);
-    win.close();
-  }
-
-  DenseMatrix<T> partner_exchange(const DenseMatrix<T>& mine, index_t out_rows) {
-    DenseMatrix<T> out;
-    partner_exchange(mine, out_rows, out);
-    return out;
-  }
-
-  void partner_exchange_vec(const std::vector<T>& mine, index_t out_len,
-                            std::vector<T>& out) {
-    out.resize(static_cast<std::size_t>(out_len));
-    auto win = world_.expose(std::span<const T>(mine));
-    win.get(std::span<T>(out), grid_.partner_of(world_.rank()), 0);
-    win.close();
-  }
-
-  std::vector<T> partner_exchange_vec(const std::vector<T>& mine, index_t out_len) {
-    std::vector<T> out;
-    partner_exchange_vec(mine, out_len, out);
-    return out;
-  }
-
-  // Normalizes `s` (holding the raw E values) in place; reduction vectors
-  // are pooled.
-  void dist_row_softmax_inplace(CsrMatrix<T>& s) {
-    const index_t rows = s.rows();
-    auto row_max_h = ws_.acquire_vec(rows);
-    std::vector<T>& row_max = *row_max_h;
-    std::fill(row_max.begin(), row_max.end(), -std::numeric_limits<T>::infinity());
-    for (index_t i = 0; i < rows; ++i) {
-      for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
-        row_max[static_cast<std::size_t>(i)] =
-            std::max(row_max[static_cast<std::size_t>(i)], s.val_at(e));
-      }
-    }
-    row_comm_.allreduce_max(std::span<T>(row_max));
-    auto v = s.vals_mutable();
-    auto row_sum_h = ws_.acquire_vec(rows);
-    std::vector<T>& row_sum = *row_sum_h;
-    std::fill(row_sum.begin(), row_sum.end(), T(0));
-    for (index_t i = 0; i < rows; ++i) {
-      const T mx = row_max[static_cast<std::size_t>(i)];
-      for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
-        const T ex = std::exp(v[static_cast<std::size_t>(e)] - mx);
-        v[static_cast<std::size_t>(e)] = ex;
-        row_sum[static_cast<std::size_t>(i)] += ex;
-      }
-    }
-    row_comm_.allreduce_sum(std::span<T>(row_sum));
-    for (index_t i = 0; i < rows; ++i) {
-      const T rs = row_sum[static_cast<std::size_t>(i)];
-      if (rs <= T(0)) continue;
-      const T inv = T(1) / rs;
-      for (index_t e = s.row_begin(i); e < s.row_end(i); ++e) {
-        v[static_cast<std::size_t>(e)] *= inv;
-      }
-    }
-  }
-
   DenseMatrix<T> layer_forward(const MultiHeadGatLayer<T>& layer,
                                const DenseMatrix<T>& h_b,
                                DistMultiHeadCache<T>* cache) {
     AGNN_TRACE_SCOPE("dist_mh_gat.layer_forward", kPhase);
+    const CsrMatrix<T>& a = layout_.adjacency();
     const index_t k_head = layer.head_features();
     const index_t out = layer.out_features();
     const T head_scale = layer.combine() == HeadCombine::kAverage
                              ? T(1) / static_cast<T>(layer.num_heads())
                              : T(1);
-    auto z_r_h = ws_.acquire_dense(ri_.size(), out);
+    auto z_r_h = ws_.acquire_dense(a.rows(), out);
     DenseMatrix<T>& z_r = *z_r_h;
     z_r.fill(T(0));
     // Per-head intermediates live in the cache slots (or a throwaway scratch
@@ -201,50 +123,49 @@ class DistMultiHeadGatEngine {
     DistMultiHeadCache<T>& c = cache ? *cache : scratch;
     if (cache) c.h_b = h_b;
     c.heads.resize(static_cast<std::size_t>(layer.num_heads()));
-    auto partial_h = ws_.acquire_dense(ri_.size(), k_head);
+    auto partial_h = ws_.acquire_dense(a.rows(), k_head);
     DenseMatrix<T>& partial = *partial_h;
     for (int hd = 0; hd < layer.num_heads(); ++hd) {
       auto& hc = c.heads[static_cast<std::size_t>(hd)];
       DenseMatrix<T> w = layer.head(hd).w;
-      world_.broadcast(w.flat(), 0);
-      std::vector<T> a = layer.head(hd).a;
-      world_.broadcast(std::span<T>(a), 0);
+      world().broadcast(w.flat(), 0);
+      std::vector<T> att = layer.head(hd).a;
+      world().broadcast(std::span<T>(att), 0);
 
       std::vector<T> s1_b;
       {
-        comm::ComputeRegion t(world_.stats());
+        comm::ComputeRegion t(world().stats());
         matmul(h_b, w, hc.hp_b);
-        const std::span<const T> a_all(a);
+        const std::span<const T> a_all(att);
         s1_b = matvec(hc.hp_b, a_all.subspan(0, static_cast<std::size_t>(k_head)));
         matvec(hc.hp_b, a_all.subspan(static_cast<std::size_t>(k_head)), hc.s2_b);
       }
-      partner_exchange_vec(s1_b, ri_.size(), hc.s1_r);
+      layout_.fetch_rows(s1_b, hc.s1_r);
 
       {
-        comm::ComputeRegion t(world_.stats());
-        hc.scores_pre_loc = a_loc_;
-        hc.psi_loc = a_loc_;
+        comm::ComputeRegion t(world().stats());
+        hc.scores_pre_loc = a;
+        hc.psi_loc = a;
         auto pre = hc.scores_pre_loc.vals_mutable();
         auto ev = hc.psi_loc.vals_mutable();
         const T slope = layer.attention_slope();
-        for (index_t i = 0; i < a_loc_.rows(); ++i) {
+        for (index_t i = 0; i < a.rows(); ++i) {
           const T s1i = hc.s1_r[static_cast<std::size_t>(i)];
-          for (index_t e = a_loc_.row_begin(i); e < a_loc_.row_end(i); ++e) {
-            const T cv = s1i + hc.s2_b[static_cast<std::size_t>(a_loc_.col_at(e))];
+          for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
+            const T cv = s1i + hc.s2_b[static_cast<std::size_t>(a.col_at(e))];
             pre[static_cast<std::size_t>(e)] = cv;
-            ev[static_cast<std::size_t>(e)] =
-                a_loc_.val_at(e) * (cv > T(0) ? cv : slope * cv);
+            ev[static_cast<std::size_t>(e)] = a.val_at(e) * (cv > T(0) ? cv : slope * cv);
           }
         }
       }
-      dist_row_softmax_inplace(hc.psi_loc);
+      dist_row_softmax_inplace(hc.psi_loc, layout_, ws_);
       {
-        comm::ComputeRegion t(world_.stats());
+        comm::ComputeRegion t(world().stats());
         spmm(hc.psi_loc, hc.hp_b, partial);
       }
-      row_comm_.allreduce_sum(partial.flat());
+      layout_.reduce_rows(partial.flat());
       {
-        comm::ComputeRegion t(world_.stats());
+        comm::ComputeRegion t(world().stats());
         const index_t off = layer.combine() == HeadCombine::kConcat
                                 ? static_cast<index_t>(hd) * k_head
                                 : 0;
@@ -255,27 +176,32 @@ class DistMultiHeadGatEngine {
         }
       }
     }
-    partner_exchange(z_r, cj_.size(), c.z_b);
+    layout_.to_input(z_r, c.z_b);
     DenseMatrix<T> h_out;
     {
-      comm::ComputeRegion t(world_.stats());
+      comm::ComputeRegion t(world().stats());
       activate(layer.activation(), c.z_b, h_out, T(0.01));
     }
     return h_out;
   }
 
+  // Each head's backward is dist_engine.hpp's GAT backward: G fetched once,
+  // ds1 reduced over the grid row, and dH' = Psi^T G + ds2 a2^T summed in
+  // one column reduce.
   DenseMatrix<T> layer_backward(const MultiHeadGatLayer<T>& layer,
                                 const DistMultiHeadCache<T>& cache,
                                 const DenseMatrix<T>& g_b, MultiHeadGrads<T>& grads) {
     AGNN_TRACE_SCOPE("dist_mh_gat.layer_backward", kPhase);
+    const CsrMatrix<T>& a = layout_.adjacency();
     const index_t k_head = layer.head_features();
     const index_t out = layer.out_features();
     const T head_scale = layer.combine() == HeadCombine::kAverage
                              ? T(1) / static_cast<T>(layer.num_heads())
                              : T(1);
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
+    DenseMatrix<T> g_r;
+    layout_.fetch_rows(g_b, g_r);
     grads.heads.resize(static_cast<std::size_t>(layer.num_heads()));
-    DenseMatrix<T> gamma_b(cj_.size(), layer.in_features(), T(0));
+    DenseMatrix<T> gamma_b(g_b.rows(), layer.in_features(), T(0));
 
     for (int hd = 0; hd < layer.num_heads(); ++hd) {
       const auto& p = layer.head(hd);
@@ -283,7 +209,10 @@ class DistMultiHeadGatEngine {
       const index_t off = layer.combine() == HeadCombine::kConcat
                               ? static_cast<index_t>(hd) * k_head
                               : 0;
-      // Slice/scale the head's gradient, in both layouts.
+      const std::span<const T> a_all(p.a);
+      const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_head));
+      const auto a2 = a_all.subspan(static_cast<std::size_t>(k_head));
+      // The head's slice of the gradient, scaled by its combine weight.
       DenseMatrix<T> gh_r(g_r.rows(), k_head);
       for (index_t i = 0; i < g_r.rows(); ++i) {
         const T* src = g_r.data() + i * out + off;
@@ -292,79 +221,69 @@ class DistMultiHeadGatEngine {
       }
 
       CsrMatrix<T> d_psi;
-      std::vector<T> dots_r(static_cast<std::size_t>(ri_.size()), T(0));
+      std::vector<T> dots_r(static_cast<std::size_t>(a.rows()), T(0));
       {
-        comm::ComputeRegion t(world_.stats());
-        d_psi = sddmm(hc.psi_loc.with_values(T(1)), gh_r, hc.hp_b);
-        for (index_t i = 0; i < hc.psi_loc.rows(); ++i) {
+        comm::ComputeRegion t(world().stats());
+        d_psi = sddmm_unweighted(hc.psi_loc, gh_r, hc.hp_b);
+        for (index_t i = 0; i < a.rows(); ++i) {
           T acc = T(0);
-          for (index_t e = hc.psi_loc.row_begin(i); e < hc.psi_loc.row_end(i); ++e) {
+          for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
             acc += hc.psi_loc.val_at(e) * d_psi.val_at(e);
           }
           dots_r[static_cast<std::size_t>(i)] = acc;
         }
       }
-      row_comm_.allreduce_sum(std::span<T>(dots_r));
+      layout_.reduce_rows(std::span<T>(dots_r));
 
-      std::vector<T> ds1_r, ds2_b;
-      DenseMatrix<T> dhp_b;
+      auto& hg = grads.heads[static_cast<std::size_t>(hd)];
+      hg.d_a.assign(static_cast<std::size_t>(2 * k_head), T(0));
+      std::vector<T> ds1_r;
+      DenseMatrix<T> col_b;
       {
-        comm::ComputeRegion t(world_.stats());
+        comm::ComputeRegion t(world().stats());
         CsrMatrix<T> d_c = d_psi;
         auto v = d_c.vals_mutable();
         const auto pre = hc.scores_pre_loc.vals();
         const T slope = layer.attention_slope();
-        for (index_t i = 0; i < d_c.rows(); ++i) {
+        for (index_t i = 0; i < a.rows(); ++i) {
           const T dot = dots_r[static_cast<std::size_t>(i)];
-          for (index_t e = d_c.row_begin(i); e < d_c.row_end(i); ++e) {
+          for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
             const T de = hc.psi_loc.val_at(e) * (d_psi.val_at(e) - dot);
-            const T c = pre[static_cast<std::size_t>(e)];
-            v[static_cast<std::size_t>(e)] =
-                de * a_loc_.val_at(e) * (c > T(0) ? T(1) : slope);
+            const T cv = pre[static_cast<std::size_t>(e)];
+            v[static_cast<std::size_t>(e)] = de * a.val_at(e) * (cv > T(0) ? T(1) : slope);
           }
         }
         ds1_r = sparse_row_sums(d_c);
-        ds2_b = sparse_col_sums(d_c);
-        dhp_b = spmm(hc.psi_loc.transposed(), gh_r);
+        const std::vector<T> ds2_b = sparse_col_sums(d_c);
+        col_b = spmm(hc.psi_loc.transposed(), gh_r);
+        add_outer_inplace(col_b, std::span<const T>(ds2_b), a2);
+        const std::vector<T> da2 = matvec_tn(hc.hp_b, std::span<const T>(ds2_b));
+        std::copy(da2.begin(), da2.end(), hg.d_a.begin() + k_head);
       }
-      row_comm_.allreduce_sum(std::span<T>(ds1_r));
-      col_comm_.allreduce_sum(std::span<T>(ds2_b));
-      col_comm_.allreduce_sum(dhp_b.flat());
-      const std::vector<T> ds1_b = partner_exchange_vec(ds1_r, cj_.size());
-
-      auto& hg = grads.heads[static_cast<std::size_t>(hd)];
+      layout_.reduce_rows(std::span<T>(ds1_r));
+      std::vector<T> ds1_b;
+      layout_.to_input(ds1_r, ds1_b);
+      DenseMatrix<T> dhp_b;
+      layout_.reduce_cols(col_b, dhp_b);
       {
-        comm::ComputeRegion t(world_.stats());
-        const std::span<const T> a_all(p.a);
-        const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_head));
-        const auto a2 = a_all.subspan(static_cast<std::size_t>(k_head));
+        comm::ComputeRegion t(world().stats());
         add_outer_inplace(dhp_b, std::span<const T>(ds1_b), a1);
-        add_outer_inplace(dhp_b, std::span<const T>(ds2_b), a2);
         hg.d_w = DenseMatrix<T>(p.w.rows(), p.w.cols(), T(0));
-        hg.d_a.assign(static_cast<std::size_t>(2 * k_head), T(0));
-        if (gi_ == 0) {
+        if (layout_.owns_input_copy()) {
           hg.d_w = matmul_tn(cache.h_b, dhp_b);
           const std::vector<T> da1 = matvec_tn(hc.hp_b, std::span<const T>(ds1_b));
-          const std::vector<T> da2 = matvec_tn(hc.hp_b, std::span<const T>(ds2_b));
           std::copy(da1.begin(), da1.end(), hg.d_a.begin());
-          std::copy(da2.begin(), da2.end(), hg.d_a.begin() + k_head);
         }
         axpy(T(1), matmul_nt(dhp_b, p.w), gamma_b);
       }
-      world_.allreduce_sum(hg.d_w.flat());
-      world_.allreduce_sum(std::span<T>(hg.d_a));
+      world().allreduce_sum(hg.d_w.flat());
+      world().allreduce_sum(std::span<T>(hg.d_a));
     }
     return gamma_b;
   }
 
-  comm::Communicator& world_;
-  ProcessGrid grid_;
-  int gi_, gj_;
-  comm::Communicator row_comm_, col_comm_;
-  index_t n_;
-  BlockRange ri_, cj_;
+  SquareLayout<T> layout_;
   MultiHeadGat<T>& model_;
-  CsrMatrix<T> a_loc_;
   Workspace<T> ws_;
   std::vector<DistMultiHeadCache<T>> caches_;
 };

@@ -1,8 +1,8 @@
 // Closed-form per-layer communication-volume predictions (Section 7), exact
-// to the byte for the shipped engines.
+// to the byte for the distributed engine's forward under each layout.
 //
-// The global 1.5D engine moves, per rank and per layer (q = sqrt(p), block
-// height b = ceil(n/q), element count in words):
+// On the 1.5D layout the engine moves, per rank and per layer (q = sqrt(p),
+// block height b = ceil(n/q), element count in words):
 //
 //   GCN   k^2        + 3 b k                  (bcast W; allreduce; redistribute)
 //   VA    k^2        + 4 b k                  (+ the partner feature exchange)
@@ -65,10 +65,11 @@ inline double predicted_global_forward_words(ModelKind kind, index_t n, index_t 
   return 0.0;
 }
 
-// Max-per-rank words moved by ONE forward layer of the 1D row-block engine:
+// Max-per-rank words moved by ONE forward layer of the 1D row-block layout:
 // the parameter broadcast plus the allgather of everyone else's feature
-// rows. Exact for every (n, p) — allgatherv charges (total - own) words, so
-// the max lands on a rank owning a small block.
+// rows (GAT's H' = H W rows, of the same width k here). Exact for every
+// (n, p) — allgatherv charges (total - own) words, so the max lands on a
+// rank owning a small block.
 inline double predicted_1d_forward_words(index_t n, index_t k, int ranks,
                                          ModelKind kind) {
   if (ranks == 1) return 0.0;

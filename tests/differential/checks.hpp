@@ -8,10 +8,11 @@
 //   outparam — every out-parameter overload against its by-value form,
 //              bitwise, with the out-buffer pre-dirtied (NaN sentinel,
 //              wrong shape) to exercise the storage-reuse path.
-//   engines  — each distributed engine (dist_engine, dist_1d_engine,
-//              dist_multihead, dist_local_engine) against the sequential
-//              model / local_engine on forward, and a short training run
-//              (which drives backward) comparing losses and final weights.
+//   engines  — the distributed engine under the 1.5D and 1D layouts and
+//              under the scenario's drawn policy, dist_multihead and
+//              dist_local_engine against the sequential model /
+//              local_engine on forward, and a short training run (which
+//              drives backward) comparing losses and final weights.
 //
 // Checks never assert: they append Failure records, so the fuzz driver can
 // report every divergence for a seed and keep going.
@@ -33,10 +34,8 @@
 #include "core/model.hpp"
 #include "core/multihead_gat.hpp"
 #include "differential/adversarial.hpp"
-#include "dist/dist_1d_engine.hpp"
 #include "dist/dist_engine.hpp"
 #include "dist/dist_multihead.hpp"
-#include "dist/engine_factory.hpp"
 #include "dist/recovery.hpp"
 #include "graph/graph.hpp"
 #include "serve/batch_forward.hpp"
@@ -503,9 +502,10 @@ inline void check_engines(const Scenario& sc, Failures& out) {
   };
 
   run_engine_checks(
-      "dist_engine",
+      "dist_1.5d_engine",
       [&](comm::Communicator& world, GnnModel<double>& model) {
-        return dist::DistGnnEngine<double>(world, adj, model);
+        return dist::DistEngine<double>(world, adj, model,
+                                        dist::DistPolicy::k1_5D);
       },
       sc.ranks_grid);
   run_engine_checks(
@@ -517,31 +517,18 @@ inline void check_engines(const Scenario& sc, Failures& out) {
   run_engine_checks(
       "dist_1d_engine",
       [&](comm::Communicator& world, GnnModel<double>& model) {
-        return dist::Dist1dGlobalEngine<double>(world, adj, model);
+        return dist::DistEngine<double>(world, adj, model,
+                                        dist::DistPolicy::k1D);
       },
       sc.ranks_row);
 
-  // Factory-routed check over the scenario's drawn distribution policy: the
-  // runtime-selected engine (1d/1.5d/2d/3d, same surface the benchmarks
-  // use) must match the sequential oracle too. A thin value wrapper gives
-  // the unique_ptr the engine-shaped surface run_engine_checks expects.
-  struct FactoryEngine {
-    std::unique_ptr<dist::IDistEngine<double>> impl;
-    DenseMatrix<double> infer(const DenseMatrix<double>& xg) {
-      return impl->infer(xg);
-    }
-    dist::IDistEngine<double>::StepResult train_step(
-        const DenseMatrix<double>& xg, std::span<const index_t> lab,
-        Optimizer<double>& opt, std::span<const std::uint8_t> m) {
-      return impl->train_step(xg, lab, opt, m);
-    }
-  };
+  // The scenario's drawn distribution policy (1d/1.5d/2d/3d, routed as the
+  // benchmarks route it) must match the sequential oracle too.
   const auto policy = static_cast<dist::DistPolicy>(sc.policy);
   run_engine_checks(
       std::string("dist_policy_") + dist::to_string(policy) + "_engine",
       [&](comm::Communicator& world, GnnModel<double>& model) {
-        return FactoryEngine{
-            dist::make_dist_engine(policy, world, adj, model)};
+        return dist::DistEngine<double>(world, adj, model, policy);
       },
       sc.ranks_policy);
 
@@ -661,7 +648,8 @@ inline void check_fault_recovery(const Scenario& sc, Failures& out) {
     const auto snaps =
         comm::SpmdRuntime::run(ranks, opts, [&](comm::Communicator& world) {
           GnnModel<double> model(cfg);
-          dist::DistGnnEngine<double> engine(world, adj, model);
+          dist::DistEngine<double> engine(world, adj, model,
+                                          dist::DistPolicy::k1_5D);
           SgdOptimizer<double> opt(0.05);
           dist::RecoveryOptions ropts;
           ropts.checkpoint_every = 2;

@@ -30,7 +30,7 @@ std::uint64_t global_forward_volume(const CsrMatrix<double>& adj, ModelKind kind
   const auto x = testing::random_dense<double>(adj.rows(), k, 5);
   const auto stats = comm::SpmdRuntime::run(ranks, [&](comm::Communicator& world) {
     GnnModel<double> model(config_for(kind, k, layers));
-    dist::DistGnnEngine<double> engine(world, adj, model);
+    dist::DistEngine<double> engine(world, adj, model, dist::DistPolicy::k1_5D);
     comm::reset_all_stats(world);
     engine.forward(x, nullptr);
   });
@@ -82,7 +82,7 @@ TEST_P(VolumeModelSweep, GlobalVolumeIndependentOfDensity) {
 INSTANTIATE_TEST_SUITE_P(Models, VolumeModelSweep,
                          ::testing::Values(ModelKind::kVA, ModelKind::kAGNN,
                                            ModelKind::kGAT),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(CommVolume, LocalVolumeGrowsWithDensityGlobalDoesNot) {
   // The crossover driver of Section 7: local-formulation volume ~ d*n*k/p
@@ -126,7 +126,8 @@ TEST(CommVolume, TrainingVolumeSameOrderAsInference) {
     {
       const auto stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
         GnnModel<double> model(config_for(kind, k, 2));
-        dist::DistGnnEngine<double> engine(world, g.adj, model);
+        dist::DistEngine<double> engine(world, g.adj, model,
+                                        dist::DistPolicy::k1_5D);
         comm::reset_all_stats(world);
         engine.forward(x, nullptr);
       });
@@ -135,7 +136,8 @@ TEST(CommVolume, TrainingVolumeSameOrderAsInference) {
     {
       const auto stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
         GnnModel<double> model(config_for(kind, k, 2));
-        dist::DistGnnEngine<double> engine(world, g.adj, model);
+        dist::DistEngine<double> engine(world, g.adj, model,
+                                        dist::DistPolicy::k1_5D);
         SgdOptimizer<double> opt(0.01);
         comm::reset_all_stats(world);
         engine.train_step(x, labels, opt);

@@ -41,7 +41,7 @@ TEST(DistIntegration, MixedLayerWidthsMatchSequential) {
 
     comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
       GnnModel<double> model(cfg);
-      DistGnnEngine<double> engine(world, adj, model);
+      DistEngine<double> engine(world, adj, model, DistPolicy::k1_5D);
       SgdOptimizer<double> opt(0.05);
       ASSERT_NEAR(engine.train_step(x, labels, opt).loss, ref_loss, 1e-9)
           << to_string(kind) << " mixed widths (1.5D)";
@@ -86,7 +86,7 @@ TEST(DistIntegration, DistributedTrainingSolvesPlantedTask) {
 
   comm::SpmdRuntime::run(9, [&](comm::Communicator& world) {
     GnnModel<double> model(cfg);
-    DistGnnEngine<double> engine(world, adj, model);
+    DistEngine<double> engine(world, adj, model, DistPolicy::k1_5D);
     AdamOptimizer<double> adam(0.01);
     double first = 0, last = 0;
     for (int e = 0; e < 120; ++e) {
@@ -116,7 +116,7 @@ TEST(DistIntegration, InferenceIdenticalAcrossAllFourEngines) {
 
   comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
     GnnModel<double> model(cfg);
-    DistGnnEngine<double> engine(world, g.adj, model);
+    DistEngine<double> engine(world, g.adj, model, DistPolicy::k1_5D);
     const auto out = engine.infer(x);
     for (index_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(out.data()[i], ref.data()[i], 1e-8) << "1.5D";

@@ -109,10 +109,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LocalCase{ModelKind::kGIN, 3, 22, 4, 2},
                       LocalCase{ModelKind::kGIN, 5, 23, 3, 2},
                       LocalCase{ModelKind::kGAT, 7, 30, 3, 2}),
-    [](const auto& info) {
-      return std::string(to_string(info.param.kind)) + "_p" +
-             std::to_string(info.param.ranks) + "_n" + std::to_string(info.param.n) +
-             "_L" + std::to_string(info.param.layers);
+    [](const auto& tpi) {
+      return std::string(to_string(tpi.param.kind)) + "_p" +
+             std::to_string(tpi.param.ranks) + "_n" + std::to_string(tpi.param.n) +
+             "_L" + std::to_string(tpi.param.layers);
     });
 
 TEST(DistLocal, GhostCountMatchesRemoteNeighborSet) {

@@ -106,11 +106,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MhCase{1, 2, 1, 20}, MhCase{4, 1, 1, 24},
                       MhCase{4, 3, 1, 24}, MhCase{4, 2, 2, 24},
                       MhCase{9, 3, 1, 26}, MhCase{9, 2, 2, 27}),
-    [](const auto& info) {
-      return "p" + std::to_string(info.param.ranks) + "_h" +
-             std::to_string(info.param.heads) + "_L" +
-             std::to_string(info.param.hidden_layers) + "_n" +
-             std::to_string(info.param.n);
+    [](const auto& tpi) {
+      std::string name = "p";
+      name += std::to_string(tpi.param.ranks) + "_h" +
+              std::to_string(tpi.param.heads) + "_L" +
+              std::to_string(tpi.param.hidden_layers) + "_n" +
+              std::to_string(tpi.param.n);
+      return name;
     });
 
 TEST(DistMultiHead, VolumeScalesWithHeadCount) {

@@ -311,7 +311,7 @@ ChaosTrainResult chaos_train(const comm::FaultPlan& plan, int epochs,
   std::mutex mu;
   const auto snaps = comm::SpmdRuntime::run(4, opts, [&](comm::Communicator& world) {
     GnnModel<double> model(gat_config());
-    DistGnnEngine<double> engine(world, g.adj, model);
+    DistEngine<double> engine(world, g.adj, model, DistPolicy::k1_5D);
     SgdOptimizer<double> opt(0.05, 0.9);  // momentum => optimizer state blob
     const auto report = train_with_recovery<double>(
         world, engine, model, opt, x, labels, epochs, {}, ropts);

@@ -134,7 +134,7 @@ TEST_P(GenericAggregationSweep, CustomPsiWithEveryAggregation) {
 INSTANTIATE_TEST_SUITE_P(Aggregations, GenericAggregationSweep,
                          ::testing::Values(Aggregation::kSum, Aggregation::kMin,
                                            Aggregation::kMax, Aggregation::kMean),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(GenericLayer, MissingPsiThrows) {
   const auto g = testing::small_graph<double>(8, 30, 97);

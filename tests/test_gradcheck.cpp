@@ -110,9 +110,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GradCase{ModelKind::kGAT, 3, 3},
                       GradCase{ModelKind::kGIN, 1, 5}, GradCase{ModelKind::kGIN, 2, 4},
                       GradCase{ModelKind::kGIN, 3, 3}),
-    [](const auto& info) {
-      return std::string(to_string(info.param.kind)) + "_L" +
-             std::to_string(info.param.layers) + "_k" + std::to_string(info.param.k);
+    [](const auto& tpi) {
+      return std::string(to_string(tpi.param.kind)) + "_L" +
+             std::to_string(tpi.param.layers) + "_k" + std::to_string(tpi.param.k);
     });
 
 TEST(Gradcheck, DirectedGraphBackwardVa) {

@@ -96,7 +96,7 @@ TEST_P(MinibatchTrainSweep, SampledStepsLearnTheTask) {
 
 INSTANTIATE_TEST_SUITE_P(Models, MinibatchTrainSweep,
                          ::testing::Values(ModelKind::kGCN, ModelKind::kGAT),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(MinibatchTrainer, FullSizedBatchMatchesFullBatchStep) {
   // Batch size >= n degenerates to full-batch training with a seed mask of

@@ -80,10 +80,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ForwardCase{ModelKind::kGIN, 50, 400, 16, 3},
                       ForwardCase{ModelKind::kGAT, 12, 40, 4, 4},
                       ForwardCase{ModelKind::kVA, 12, 40, 4, 1}),
-    [](const auto& info) {
-      return std::string(to_string(info.param.kind)) + "_n" +
-             std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) +
-             "_L" + std::to_string(info.param.layers);
+    [](const auto& tpi) {
+      return std::string(to_string(tpi.param.kind)) + "_n" +
+             std::to_string(tpi.param.n) + "_k" + std::to_string(tpi.param.k) +
+             "_L" + std::to_string(tpi.param.layers);
     });
 
 TEST(ModelsForward, LayerRejectsWrongFeatureWidth) {

@@ -129,9 +129,9 @@ TEST_P(MultiHeadGradSweep, GradientsMatchFiniteDifferences) {
 INSTANTIATE_TEST_SUITE_P(Shapes, MultiHeadGradSweep,
                          ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1},
                                            std::tuple{4, 1}, std::tuple{2, 2}),
-                         [](const auto& info) {
-                           return "h" + std::to_string(std::get<0>(info.param)) +
-                                  "_L" + std::to_string(std::get<1>(info.param));
+                         [](const auto& tpi) {
+                           return "h" + std::to_string(std::get<0>(tpi.param)) +
+                                  "_L" + std::to_string(std::get<1>(tpi.param));
                          });
 
 TEST(MultiHeadGat, TrainsOnPlantedTask) {

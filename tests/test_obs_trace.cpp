@@ -119,7 +119,7 @@ TEST(TraceSpans, BalancedAndMonotonicPerRank) {
     cfg.layer_widths = {8, 2};
     cfg.seed = 11;
     GnnModel<double> model(cfg);
-    dist::DistGnnEngine<double> engine(world, g.adj, model);
+    dist::DistEngine<double> engine(world, g.adj, model, dist::DistPolicy::k1_5D);
     SgdOptimizer<double> opt(0.05);
     engine.train_step(x, labels, opt);
   });

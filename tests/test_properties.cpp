@@ -271,7 +271,7 @@ TEST_P(SeedSweep, DistVolumeIndependentOfFeatureValues) {
     const auto x = random_dense<double>(32, 4, xseed);
     const auto stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
       GnnModel<double> model(cfg);
-      dist::DistGnnEngine<double> engine(world, g.adj, model);
+      dist::DistEngine<double> engine(world, g.adj, model, dist::DistPolicy::k1_5D);
       comm::reset_all_stats(world);
       engine.forward(x, nullptr);
     });

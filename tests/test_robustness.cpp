@@ -49,7 +49,7 @@ INSTANTIATE_TEST_SUITE_P(Models, Float32ModelSweep,
                          ::testing::Values(ModelKind::kGCN, ModelKind::kVA,
                                            ModelKind::kAGNN, ModelKind::kGAT,
                                            ModelKind::kGIN),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(Float32, TrainingIsStableOverManySteps) {
   const auto g = testing::small_graph<float>(64, 400, 117);
@@ -123,7 +123,7 @@ TEST_P(DirectedEngineSweep, AllEnginesAgreeOnDirectedTraining) {
 
   comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
     GnnModel<double> model(cfg);
-    dist::DistGnnEngine<double> engine(world, adj_in, model);
+    dist::DistEngine<double> engine(world, adj_in, model, dist::DistPolicy::k1_5D);
     SgdOptimizer<double> opt(0.05);
     EXPECT_NEAR(engine.train_step(x, labels, opt).loss, ref_loss, 1e-9)
         << to_string(GetParam()) << " 1.5D directed";
@@ -141,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(Models, DirectedEngineSweep,
                          ::testing::Values(ModelKind::kGCN, ModelKind::kVA,
                                            ModelKind::kAGNN, ModelKind::kGAT,
                                            ModelKind::kGIN),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 // ---- fusion planner fuzz --------------------------------------------------------------
 
@@ -157,7 +157,9 @@ TEST(FusionPlannerFuzz, RandomChainDagsAlwaysResolve) {
                          ir::OpClass::kMatMul, {h, h});
     const int chain = 1 + static_cast<int>(rng.next_bounded(5));
     for (int i = 0; i < chain; ++i) {
-      cur = dag.add_op("v" + std::to_string(i + 1), ir::TensorClass::kVirtualDense,
+      std::string name = "v";
+      name += std::to_string(i + 1);
+      cur = dag.add_op(name, ir::TensorClass::kVirtualDense,
                        ir::OpClass::kElementwise, {cur});
     }
     dag.add_op("sampled", ir::TensorClass::kSparse, ir::OpClass::kSDDMM, {a, cur});
@@ -177,7 +179,9 @@ TEST(FusionPlannerFuzz, DanglingVirtualAlwaysFlagged) {
                          ir::OpClass::kMatMul, {h, h});
     const int chain = static_cast<int>(rng.next_bounded(4));
     for (int i = 0; i < chain; ++i) {
-      cur = dag.add_op("v" + std::to_string(i + 1), ir::TensorClass::kVirtualDense,
+      std::string name = "v";
+      name += std::to_string(i + 1);
+      cur = dag.add_op(name, ir::TensorClass::kVirtualDense,
                        ir::OpClass::kElementwise, {cur});
     }
     // Terminate in a DENSE op: this path would materialize n x n.

@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(Models, SerializationSweep,
                          ::testing::Values(ModelKind::kGCN, ModelKind::kVA,
                                            ModelKind::kAGNN, ModelKind::kGAT,
                                            ModelKind::kGIN),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(Serialization, CorruptFileRejected) {
   const std::string path = ::testing::TempDir() + "agnn_model_bad.bin";

@@ -80,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(Models, TrainSweep,
                          ::testing::Values(ModelKind::kGCN, ModelKind::kVA,
                                            ModelKind::kAGNN, ModelKind::kGAT,
                                            ModelKind::kGIN),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& tpi) { return to_string(tpi.param); });
 
 TEST(Training, MaskedTrainingIgnoresTestVertices) {
   const auto task = make_planted_task(40, 23);

@@ -4,12 +4,12 @@
 // more.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baseline/dist_local_engine.hpp"
 #include "comm/communicator.hpp"
 #include "core/model.hpp"
-#include "dist/dist_1d_engine.hpp"
 #include "dist/dist_engine.hpp"
-#include "dist/dist_summa_engine.hpp"
 #include "dist/volume_model.hpp"
 #include "graph/graph.hpp"
 #include "test_utils.hpp"
@@ -45,7 +45,7 @@ TEST_P(ExactVolumeSweep, GlobalEngineMatchesClosedFormExactly) {
 
   const auto stats = comm::SpmdRuntime::run(p.ranks, [&](comm::Communicator& world) {
     GnnModel<double> model(config_for(p.kind, p.k, p.layers));
-    DistGnnEngine<double> engine(world, adj, model);
+    DistEngine<double> engine(world, adj, model, DistPolicy::k1_5D);
     comm::reset_all_stats(world);
     engine.forward(x, nullptr);
   });
@@ -71,11 +71,11 @@ INSTANTIATE_TEST_SUITE_P(
                       VolumeCase{ModelKind::kGIN, 4, 32, 4, 2},
                       VolumeCase{ModelKind::kGIN, 9, 36, 3, 2},
                       VolumeCase{ModelKind::kGCN, 16, 64, 8, 3}),
-    [](const auto& info) {
-      return std::string(to_string(info.param.kind)) + "_p" +
-             std::to_string(info.param.ranks) + "_n" + std::to_string(info.param.n) +
-             "_k" + std::to_string(info.param.k) + "_L" +
-             std::to_string(info.param.layers);
+    [](const auto& tpi) {
+      return std::string(to_string(tpi.param.kind)) + "_p" +
+             std::to_string(tpi.param.ranks) + "_n" + std::to_string(tpi.param.n) +
+             "_k" + std::to_string(tpi.param.k) + "_L" +
+             std::to_string(tpi.param.layers);
     });
 
 TEST(VolumeModel, SingleRankIsFree) {
@@ -108,7 +108,7 @@ TEST(VolumeModel, SummaFamilyMatchesMeasuredExactly) {
       const auto stats =
           comm::SpmdRuntime::run(shape.size(), [&](comm::Communicator& world) {
             GnnModel<double> model(config_for(kind, k, layers));
-            DistSummaEngine<double> engine(world, adj, model, shape);
+            DistEngine<double> engine(world, adj, model, shape);
             comm::reset_all_stats(world);
             engine.forward(x, nullptr);
           });
@@ -137,7 +137,7 @@ TEST(VolumeModel, OneDMatchesMeasuredExactly) {
       const auto stats =
           comm::SpmdRuntime::run(p, [&](comm::Communicator& world) {
             GnnModel<double> model(config_for(kind, k, layers));
-            Dist1dGlobalEngine<double> engine(world, adj, model);
+            DistEngine<double> engine(world, adj, model, DistPolicy::k1D);
             comm::reset_all_stats(world);
             engine.forward(x, nullptr);
           });
@@ -226,6 +226,60 @@ TEST(VolumeModel, Section7BoundDominatesAsConstantFactor) {
           EXPECT_LT(exact, 7.0 * bound)
               << to_string(kind) << " n=" << n << " k=" << k << " p=" << p;
         }
+      }
+    }
+  }
+}
+
+// Max per-rank bytes of one 2-layer train_step (n = 64, k = 8, p = 4; 3D at
+// p = 8 with depth 2), as each policy moved them while the engines wrote the
+// backward three times. With one backward form (G fetched once, one column
+// reduce per layer) no entry may grow, and 1.5D VA and AGNN, which also
+// exchanged M = G W^T and reduced each column-side term on its own, shrink.
+TEST(VolumeModel, TrainingStepMovesNoMoreThanPinnedTable) {
+  struct Pin {
+    ModelKind kind;
+    std::uint64_t bytes[4];  // 1D, 1.5D, 2D, 3D
+  };
+  const Pin pins[] = {
+      {ModelKind::kVA, {25616, 48144, 39952, 37904}},
+      {ModelKind::kAGNN, {25616, 58896, 50448, 48400}},
+      {ModelKind::kGAT, {26384, 34576, 34064, 32016}},
+      {ModelKind::kGCN, {25616, 27664, 27664, 25616}},
+      {ModelKind::kGIN, {28688, 38928, 34832, 32784}},
+  };
+  struct PolicyRun {
+    DistPolicy policy;
+    int ranks;
+    int depth_hint;
+  };
+  const PolicyRun runs[] = {{DistPolicy::k1D, 4, 0},
+                            {DistPolicy::k1_5D, 4, 0},
+                            {DistPolicy::k2D, 4, 0},
+                            {DistPolicy::k3D, 8, 2}};
+  const index_t n = 64, k = 8;
+  const auto g = testing::small_graph<double>(n, 600, 29);
+  const auto x = testing::random_dense<double>(n, k, 31);
+  std::vector<index_t> labels(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i % k;
+  for (const Pin& pin : pins) {
+    for (std::size_t r = 0; r < std::size(runs); ++r) {
+      const PolicyRun& run = runs[r];
+      const auto stats =
+          comm::SpmdRuntime::run(run.ranks, [&](comm::Communicator& world) {
+            GnnModel<double> model(config_for(pin.kind, k, 2));
+            DistEngine<double> engine(world, g.adj, model, run.policy,
+                                      run.depth_hint);
+            SgdOptimizer<double> opt(0.01);
+            comm::reset_all_stats(world);
+            engine.train_step(x, labels, opt);
+          });
+      const std::uint64_t bytes = comm::max_bytes_sent(stats);
+      EXPECT_LE(bytes, pin.bytes[r])
+          << to_string(pin.kind) << " " << to_string(run.policy);
+      if (run.policy == DistPolicy::k1_5D &&
+          (pin.kind == ModelKind::kVA || pin.kind == ModelKind::kAGNN)) {
+        EXPECT_LT(bytes, pin.bytes[r]) << to_string(pin.kind);
       }
     }
   }
