@@ -9,7 +9,9 @@
 //   * Section 4.3 semiring aggregations — sum/min/max/mean SpMM;
 //   * per-edge local-formulation (DGL-style UDF) execution vs the global
 //     fused kernels at equal math;
-//   * CSR SpMM loop scheduling (static vs dynamic) on a heavy-tail graph.
+//   * CSR SpMM loop scheduling (static vs dynamic) on a heavy-tail graph;
+//   * the dense GEMM core (matmul, matmul_nt, matmul_tn) at one train-kron
+//     layer's shape.
 #include <benchmark/benchmark.h>
 
 #include "baseline/local_engine.hpp"
@@ -398,6 +400,45 @@ void SpmmDynamic(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(spmm_scheduled<true>(f.g.adj, f.h));
 }
 
+// ---- dense GEMM core ----------------------------------------------------------
+// The three GEMM forms at the shape of one train-kron layer: 16384 x 64
+// features against a 64 x 64 weight, float, at 1 and 4 OpenMP threads.
+// matmul is H W, matmul_nt is G W^T, matmul_tn is H^T G.
+enum class GemmForm { kNN, kNT, kTN };
+
+DenseMatrix<real_t> uniform_matrix(index_t rows, index_t cols, std::uint64_t seed) {
+  DenseMatrix<real_t> m(rows, cols);
+  Rng rng(seed);
+  m.fill_uniform(rng, -1.0, 1.0);
+  return m;
+}
+
+void DenseGemm(benchmark::State& state, GemmForm form) {
+  static const auto h = uniform_matrix(16384, 64, 29);
+  static const auto g = uniform_matrix(16384, 64, 31);
+  static const auto w = uniform_matrix(64, 64, 37);
+#if defined(_OPENMP)
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  DenseMatrix<real_t> out;
+  for (auto _ : state) {
+    switch (form) {
+      case GemmForm::kNN: matmul(h, w, out); break;
+      case GemmForm::kNT: matmul_nt(g, w, out); break;
+      case GemmForm::kTN: matmul_tn(h, g, out); break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(prev_threads);
+#endif
+}
+
+BENCHMARK_CAPTURE(DenseGemm, matmul, GemmForm::kNN)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(DenseGemm, matmul_nt, GemmForm::kNT)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(DenseGemm, matmul_tn, GemmForm::kTN)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK(PsiVaFused)->Args({512, 16})->Args({1024, 16})->Args({1024, 128});
 BENCHMARK(PsiVaUnfused)->Args({512, 16})->Args({1024, 16})->Args({1024, 128});
 BENCHMARK(PsiAgnnFused)->Args({512, 16})->Args({1024, 16});

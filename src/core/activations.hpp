@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
+#include "obs/obs_scope.hpp"
 #include "tensor/dense_matrix.hpp"
 
 namespace agnn {
@@ -54,16 +57,41 @@ T activation_derivative(Activation a, T z, T leaky_slope = T(0.01)) {
   return T(1);
 }
 
+namespace detail {
+
+// Calls f with the activation kind as a compile-time constant, so each kind
+// gets a loop of its own and the per-element switch in apply_activation /
+// activation_derivative folds away.
+template <typename F>
+void with_activation_kind(Activation a, F&& f) {
+  using K = Activation;
+  switch (a) {
+    case K::kIdentity: return f(std::integral_constant<K, K::kIdentity>{});
+    case K::kRelu: return f(std::integral_constant<K, K::kRelu>{});
+    case K::kLeakyRelu: return f(std::integral_constant<K, K::kLeakyRelu>{});
+    case K::kTanh: return f(std::integral_constant<K, K::kTanh>{});
+    case K::kSigmoid: return f(std::integral_constant<K, K::kSigmoid>{});
+  }
+}
+
+}  // namespace detail
+
 // H = sigma(Z), element-wise. The out-parameter form resizes `h` in place
 // (no allocation within capacity); `h` may alias `z`.
 template <typename T>
 void activate(Activation a, const DenseMatrix<T>& z, DenseMatrix<T>& h,
               T leaky_slope = T(0.01)) {
+  AGNN_KERNEL_SCOPE("activate",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(z.size()), 2, sizeof(T)));
   h.resize(z.rows(), z.cols());
+  const T* zp = z.data();
+  T* hp = h.data();
+  const index_t n = z.size();
+  detail::with_activation_kind(a, [&](auto kind) {
 #pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < z.size(); ++i) {
-    h.data()[i] = apply_activation(a, z.data()[i], leaky_slope);
-  }
+    for (index_t i = 0; i < n; ++i) hp[i] = apply_activation(kind(), zp[i], leaky_slope);
+  });
 }
 
 template <typename T>
@@ -75,16 +103,33 @@ DenseMatrix<T> activate(Activation a, const DenseMatrix<T>& z, T leaky_slope = T
 
 // G = Gamma ⊙ sigma'(Z): the per-layer gradient recursion of Eq. (6).
 // `g` may alias `z` or `gamma` (pure element-wise read-before-write).
+//
+// sigma'(z) gets a statement of its own: GCC folds gamma * (c ? 1 : 0) in
+// one expression into c ? gamma : gamma * 0, which it cannot if-convert
+// under the default -ftrapping-math, and the ReLU loop would stay scalar.
+// As written it is a select, then the multiply, and vectorizes; the
+// multiply stays, so a negative gamma times 0 is -0 and a non-finite gamma
+// gives NaN, as before.
 template <typename T>
 void activation_backward(Activation a, const DenseMatrix<T>& z,
                          const DenseMatrix<T>& gamma, DenseMatrix<T>& g,
                          T leaky_slope = T(0.01)) {
+  AGNN_KERNEL_SCOPE("activation_backward",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(z.size()), 3, sizeof(T)));
   AGNN_ASSERT(z.same_shape(gamma), "activation_backward: shape mismatch");
   g.resize(z.rows(), z.cols());
+  const T* zp = z.data();
+  const T* gp = gamma.data();
+  T* out = g.data();
+  const index_t n = z.size();
+  detail::with_activation_kind(a, [&](auto kind) {
 #pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < z.size(); ++i) {
-    g.data()[i] = gamma.data()[i] * activation_derivative(a, z.data()[i], leaky_slope);
-  }
+    for (index_t i = 0; i < n; ++i) {
+      const T d = activation_derivative(kind(), zp[i], leaky_slope);
+      out[i] = gp[i] * d;
+    }
+  });
 }
 
 template <typename T>

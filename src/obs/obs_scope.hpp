@@ -126,6 +126,14 @@ constexpr std::uint64_t gemm_traffic_bytes(std::uint64_t m, std::uint64_t k,
   return (m * k + k * n + m * n) * val_size;
 }
 
+// Element-wise pass over `elems` elements: each of `arrays` arrays (the
+// inputs and the output) once.
+constexpr std::uint64_t elementwise_traffic_bytes(std::uint64_t elems,
+                                                  std::uint64_t arrays,
+                                                  std::size_t val_size) {
+  return elems * arrays * val_size;
+}
+
 }  // namespace agnn::obs
 
 // Resolve-once histogram reference: a captureless lambda (decays to the

@@ -55,9 +55,10 @@ inline std::uint64_t bytes_left(std::istream& in) {
 // and reused afterwards, so the steady state allocates nothing. The
 // Workspace pool cannot serve it: core already links against tensor, and the
 // pool belongs to the driving rank thread while this buffer lives per OpenMP
-// worker. One buffer per element type: a caller must not hold the pointer
-// across another call that may grow it.
-template <typename U>
+// worker. One buffer per element type and tag type: a caller must not hold
+// the pointer across another call with the same pair that may grow it. A
+// call site that needs a buffer of its own passes its own tag.
+template <typename U, typename Tag = void>
 inline U* thread_scratch(std::size_t n) {
   thread_local std::vector<U> buf;
   if (buf.size() < n) buf.resize(n);

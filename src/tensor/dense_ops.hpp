@@ -2,45 +2,149 @@
 // vector operations (projection, replication, summation, Hadamard ops,
 // row norms) that the global formulations are written in.
 //
-// All O(n*k) and larger loops are OpenMP-parallel over rows; feature
-// dimensions (k) are kept in the innermost loop so the compiler can
-// vectorize over the contiguous row storage.
+// The three GEMM forms (matmul, matmul_nt, matmul_tn) run one
+// register-blocked core (tensor/gemm_core.hpp), bitwise equal to the plain
+// per-element loops. All other O(n*k) and larger loops are OpenMP-parallel
+// over rows; feature dimensions (k) are kept in the innermost loop so the
+// compiler can vectorize over the contiguous row storage.
 //
 // Every kernel has an out-parameter overload writing into caller-provided
 // storage (no allocation within capacity); the by-value signatures are thin
 // wrappers. Out-parameters must not alias inputs unless noted.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #if defined(_OPENMP)
 #include <omp.h>
 #endif
 
+#include "obs/obs_scope.hpp"
 #include "tensor/dense_matrix.hpp"
+#include "tensor/gemm_core.hpp"
 
 namespace agnn {
 
-// C = A * B                                                     (MM, Table 2)
+namespace detail {
+
+struct MatmulNtScratch;
+struct MatmulTnScratch;
+
+// Rows of C per matmul task: four 4-row register tiles.
+inline constexpr index_t kGemmRowBlock = 16;
+// Rows of A and B per matmul_tn panel. The core sweeps a panel once per
+// 4-row group of C, so the pair should stay in L2 while it does.
+inline constexpr index_t kGemmTnPanel = 256;
+
+// C (n x m) = A (n x k) * B (k x m), all row-major, in 16-row tasks.
 template <typename T>
-void matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b, DenseMatrix<T>& c) {
+void gemm_rows(GemmKernel<T> kernel, const T* a, const T* b, T* c, index_t n,
+               index_t k, index_t m) {
+  const index_t blocks = (n + kGemmRowBlock - 1) / kGemmRowBlock;
+#pragma omp parallel for schedule(static)
+  for (index_t blk = 0; blk < blocks; ++blk) {
+    const index_t r0 = blk * kGemmRowBlock;
+    kernel({a + r0 * k, k, 1, b, m, c + r0 * m, m,
+            std::min(kGemmRowBlock, n - r0), m, k, false});
+  }
+}
+
+// The rows [lo, hi) of [0, n) that `schedule(static)` gives thread `tid` of
+// a team of `team`: one contiguous block each, n / team rows, and one more
+// for the first n % team threads (the split of libgomp and of LLVM's
+// OpenMP runtime).
+inline std::pair<index_t, index_t> static_block(index_t n, int team, int tid) {
+  const index_t q = n / team, extra = n % team;
+  const index_t lo = tid * q + std::min<index_t>(tid, extra);
+  return {lo, lo + q + (tid < extra ? 1 : 0)};
+}
+
+// The three GEMM forms over an explicit core twin; the public functions
+// below pass gemm_kernel<T>().
+template <typename T>
+void matmul_with(GemmKernel<T> kernel, const DenseMatrix<T>& a,
+                 const DenseMatrix<T>& b, DenseMatrix<T>& c) {
   AGNN_ASSERT(a.cols() == b.rows(), "matmul: inner dimensions must agree");
   AGNN_ASSERT(&c != &a && &c != &b, "matmul: output cannot alias an input");
   const index_t n = a.rows(), k = a.cols(), m = b.cols();
   c.resize(n, m);
-#pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < n; ++i) {
-    T* ci = c.data() + i * m;
-    const T* ai = a.data() + i * k;
-    for (index_t j = 0; j < m; ++j) ci[j] = T(0);
-    for (index_t l = 0; l < k; ++l) {
-      const T ail = ai[l];
-      const T* bl = b.data() + l * m;
-      for (index_t j = 0; j < m; ++j) ci[j] += ail * bl[j];
+  gemm_rows(kernel, a.data(), b.data(), c.data(), n, k, m);
+}
+
+// C = A B^T is the matmul path against B^T, copied once into this thread's
+// k x m scratch. Each element keeps the dot product's l order.
+template <typename T>
+void matmul_nt_with(GemmKernel<T> kernel, const DenseMatrix<T>& a,
+                    const DenseMatrix<T>& b, DenseMatrix<T>& c) {
+  AGNN_ASSERT(a.cols() == b.cols(), "matmul_nt: column counts must agree");
+  AGNN_ASSERT(&c != &a && &c != &b, "matmul_nt: output cannot alias an input");
+  const index_t n = a.rows(), k = a.cols(), m = b.rows();
+  T* bt = thread_scratch<T, MatmulNtScratch>(static_cast<std::size_t>(k * m));
+  for (index_t j = 0; j < m; ++j) {
+    const T* bj = b.data() + j * k;
+    for (index_t l = 0; l < k; ++l) bt[l * m + j] = bj[l];
+  }
+  c.resize(n, m);
+  gemm_rows(kernel, a.data(), bt, c.data(), n, k, m);
+}
+
+// C = A^T B, reduced over the n rows. Each thread accumulates a ka x kb
+// partial over the row block `schedule(static)` gives it, in panels that
+// continue the partial's values; the partials are then summed into a zeroed
+// C in thread order. The bits depend on the team size, as they always have,
+// and on nothing else.
+template <typename T>
+void matmul_tn_with(GemmKernel<T> kernel, const DenseMatrix<T>& a,
+                    const DenseMatrix<T>& b, DenseMatrix<T>& c) {
+  AGNN_ASSERT(a.rows() == b.rows(), "matmul_tn: row counts must agree");
+  AGNN_ASSERT(&c != &a && &c != &b, "matmul_tn: output cannot alias an input");
+  const index_t n = a.rows(), ka = a.cols(), kb = b.cols(), size = ka * kb;
+  c.resize(ka, kb);
+#if defined(_OPENMP)
+  const int max_team = omp_get_max_threads();
+#else
+  const int max_team = 1;
+#endif
+  T* partials = thread_scratch<T, MatmulTnScratch>(
+      static_cast<std::size_t>(max_team) * static_cast<std::size_t>(size));
+  int team = 1;
+#pragma omp parallel
+  {
+#if defined(_OPENMP)
+    const int threads = omp_get_num_threads(), tid = omp_get_thread_num();
+#else
+    const int threads = 1, tid = 0;
+#endif
+    if (tid == 0) team = threads;
+    T* part = partials + tid * size;
+    std::fill(part, part + size, T(0));
+    const auto [lo, hi] = static_block(n, threads, tid);
+    for (index_t i0 = lo; i0 < hi; i0 += kGemmTnPanel) {
+      kernel({a.data() + i0 * ka, 1, ka, b.data() + i0 * kb, kb, part, kb, ka,
+              kb, std::min(kGemmTnPanel, hi - i0), true});
     }
   }
+  c.fill(T(0));
+  for (int t = 0; t < team; ++t) {
+    const T* part = partials + t * size;
+    for (index_t p = 0; p < size; ++p) c.data()[p] += part[p];
+  }
+}
+
+}  // namespace detail
+
+// C = A * B                                                     (MM, Table 2)
+template <typename T>
+void matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b, DenseMatrix<T>& c) {
+  AGNN_KERNEL_SCOPE("matmul", obs::gemm_traffic_bytes(
+                                  static_cast<std::uint64_t>(a.rows()),
+                                  static_cast<std::uint64_t>(a.cols()),
+                                  static_cast<std::uint64_t>(b.cols()), sizeof(T)));
+  detail::matmul_with(detail::gemm_kernel<T>(), a, b, c);
 }
 
 template <typename T>
@@ -53,46 +157,11 @@ DenseMatrix<T> matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
 // C = A^T * B  (used for weight gradients Y = H^T (...) G)
 template <typename T>
 void matmul_tn(const DenseMatrix<T>& a, const DenseMatrix<T>& b, DenseMatrix<T>& c) {
-  AGNN_ASSERT(a.rows() == b.rows(), "matmul_tn: row counts must agree");
-  AGNN_ASSERT(&c != &a && &c != &b, "matmul_tn: output cannot alias an input");
-  const index_t n = a.rows(), ka = a.cols(), kb = b.cols();
-  c.resize(ka, kb);
-  c.fill(T(0));
-  // ka, kb are feature dimensions (small); parallelize the reduction over n
-  // with per-thread accumulators, then reduce them in thread order so the
-  // result is deterministic for a fixed thread count (the by-value and
-  // out-parameter paths must match bitwise).
-#if defined(_OPENMP)
-  const int n_threads = omp_get_max_threads();
-#else
-  const int n_threads = 1;
-#endif
-  std::vector<DenseMatrix<T>> locals(static_cast<std::size_t>(n_threads));
-#pragma omp parallel
-  {
-#if defined(_OPENMP)
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    DenseMatrix<T>& local = locals[static_cast<std::size_t>(tid)];
-    local.resize(ka, kb);
-    local.fill(T(0));
-#pragma omp for schedule(static)
-    for (index_t i = 0; i < n; ++i) {
-      const T* ai = a.data() + i * ka;
-      const T* bi = b.data() + i * kb;
-      for (index_t l = 0; l < ka; ++l) {
-        T* row = local.data() + l * kb;
-        const T ail = ai[l];
-        for (index_t j = 0; j < kb; ++j) row[j] += ail * bi[j];
-      }
-    }
-  }
-  for (const auto& local : locals) {
-    if (local.size() != c.size()) continue;  // thread never entered the region
-    for (index_t p = 0; p < c.size(); ++p) c.data()[p] += local.data()[p];
-  }
+  AGNN_KERNEL_SCOPE("matmul_tn", obs::gemm_traffic_bytes(
+                                     static_cast<std::uint64_t>(a.cols()),
+                                     static_cast<std::uint64_t>(a.rows()),
+                                     static_cast<std::uint64_t>(b.cols()), sizeof(T)));
+  detail::matmul_tn_with(detail::gemm_kernel<T>(), a, b, c);
 }
 
 template <typename T>
@@ -105,21 +174,11 @@ DenseMatrix<T> matmul_tn(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
 // C = A * B^T  (used when multiplying by W^T in backward passes)
 template <typename T>
 void matmul_nt(const DenseMatrix<T>& a, const DenseMatrix<T>& b, DenseMatrix<T>& c) {
-  AGNN_ASSERT(a.cols() == b.cols(), "matmul_nt: column counts must agree");
-  AGNN_ASSERT(&c != &a && &c != &b, "matmul_nt: output cannot alias an input");
-  const index_t n = a.rows(), k = a.cols(), m = b.rows();
-  c.resize(n, m);
-#pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < n; ++i) {
-    const T* ai = a.data() + i * k;
-    T* ci = c.data() + i * m;
-    for (index_t j = 0; j < m; ++j) {
-      const T* bj = b.data() + j * k;
-      T acc = T(0);
-      for (index_t l = 0; l < k; ++l) acc += ai[l] * bj[l];
-      ci[j] = acc;
-    }
-  }
+  AGNN_KERNEL_SCOPE("matmul_nt", obs::gemm_traffic_bytes(
+                                     static_cast<std::uint64_t>(a.rows()),
+                                     static_cast<std::uint64_t>(a.cols()),
+                                     static_cast<std::uint64_t>(b.rows()), sizeof(T)));
+  detail::matmul_nt_with(detail::gemm_kernel<T>(), a, b, c);
 }
 
 template <typename T>

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/activations.hpp"
 #include "core/loss.hpp"
@@ -11,6 +15,8 @@
 
 namespace agnn {
 namespace {
+
+using testing::Bits;
 
 class ActivationSweep : public ::testing::TestWithParam<Activation> {};
 
@@ -24,6 +30,67 @@ TEST_P(ActivationSweep, DerivativeMatchesFiniteDifference) {
     EXPECT_NEAR(activation_derivative(act, z), numeric, 1e-6)
         << to_string(act) << " at z=" << z;
   }
+}
+
+// activate and activation_backward run one loop per kind, with the kind a
+// template argument. Each must give the bits of the scalar apply_activation
+// and gamma * activation_derivative, including on signed zeros, subnormals,
+// infinities and NaN, out of place and in place. One exception: where gamma
+// and sigma'(z) are both NaN, IEEE 754 leaves open whose payload the
+// product carries and the compiler may order the operands either way, so
+// there the product need only be a NaN.
+template <typename T>
+void check_hoisted_loops(Activation act) {
+  constexpr T inf = std::numeric_limits<T>::infinity();
+  constexpr T nan = std::numeric_limits<T>::quiet_NaN();
+  constexpr T tiny = std::numeric_limits<T>::denorm_min();
+  const std::vector<T> zs{T(0),    T(-0.0), tiny,   -tiny,  T(1e-3), T(-1e-3),
+                          T(0.5),  T(-0.5), T(3),   T(-3),  T(50),   T(-50),
+                          T(1000), T(-1000), std::numeric_limits<T>::max(),
+                          std::numeric_limits<T>::lowest(), inf, -inf, nan, -nan};
+  const std::vector<T> gammas{T(1.5), T(-2), T(0), T(-0.0), tiny, inf, -inf, nan};
+  const auto rows = static_cast<index_t>(zs.size());
+  const auto cols = static_cast<index_t>(gammas.size());
+  DenseMatrix<T> z(rows, cols), gamma(rows, cols);
+  for (index_t i = 0; i < rows; ++i) {
+    for (index_t j = 0; j < cols; ++j) {
+      z(i, j) = zs[static_cast<std::size_t>(i)];
+      gamma(i, j) = gammas[static_cast<std::size_t>(j)];
+    }
+  }
+  const T slope = T(0.2);
+  DenseMatrix<T> h, g;
+  activate(act, z, h, slope);
+  activation_backward(act, z, gamma, g, slope);
+  DenseMatrix<T> h_in_place = z, g_in_place = gamma;
+  activate(act, h_in_place, h_in_place, slope);
+  activation_backward(act, z, g_in_place, g_in_place, slope);
+  for (index_t p = 0; p < z.size(); ++p) {
+    const T zp = z.data()[p], gp = gamma.data()[p];
+    const auto want_h = std::bit_cast<Bits<T>>(apply_activation(act, zp, slope));
+    const T d = activation_derivative(act, zp, slope);
+    const auto want_g = std::bit_cast<Bits<T>>(gp * d);
+    const std::string at = std::string(to_string(act)) + " at z=" +
+                           std::to_string(zp) + " gamma=" + std::to_string(gp);
+    EXPECT_EQ(std::bit_cast<Bits<T>>(h.data()[p]), want_h) << "activate " << at;
+    EXPECT_EQ(std::bit_cast<Bits<T>>(h_in_place.data()[p]), want_h)
+        << "in-place activate " << at;
+    if (std::isnan(gp) && std::isnan(d)) {
+      EXPECT_TRUE(std::isnan(g.data()[p])) << "activation_backward " << at;
+      EXPECT_TRUE(std::isnan(g_in_place.data()[p]))
+          << "in-place activation_backward " << at;
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<Bits<T>>(g.data()[p]), want_g)
+        << "activation_backward " << at;
+    EXPECT_EQ(std::bit_cast<Bits<T>>(g_in_place.data()[p]), want_g)
+        << "in-place activation_backward " << at;
+  }
+}
+
+TEST_P(ActivationSweep, HoistedLoopsMatchScalarBitwise) {
+  check_hoisted_loops<float>(GetParam());
+  check_hoisted_loops<double>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationSweep,

@@ -1,7 +1,17 @@
-// Unit and property tests for the dense kernels against naive oracles.
+// Unit and property tests for the dense kernels against naive oracles, and
+// the bitwise oracle of the register-blocked GEMM core.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 #include "tensor/dense_ops.hpp"
 #include "tensor/reference_impls.hpp"
@@ -10,8 +20,10 @@
 namespace agnn {
 namespace {
 
+using testing::Bits;
 using testing::expect_matrix_near;
 using testing::random_dense;
+using testing::ScopedThreads;
 
 TEST(DenseOps, MatmulSmallKnownValues) {
   DenseMatrix<double> a(2, 3, std::vector<double>{1, 2, 3, 4, 5, 6});
@@ -153,6 +165,201 @@ TEST(DenseOps, MatmulAssociativity) {
   auto c = random_dense<double>(7, 3, 71);
   expect_matrix_near(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), 1e-9,
                      "associativity");
+}
+
+// ---- GEMM bitwise oracle -----------------------------------------------------
+// The plain loops that matmul, matmul_nt and matmul_tn ran before the
+// register-blocked core (DESIGN.md §13). The core promises their bits: per
+// element, the same products added in l order from zero, and for matmul_tn
+// the same per-thread partials summed in thread order.
+namespace oracle {
+
+template <typename T>
+DenseMatrix<T> matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
+  const index_t n = a.rows(), k = a.cols(), m = b.cols();
+  DenseMatrix<T> c(n, m);
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < n; ++i) {
+    T* ci = c.data() + i * m;
+    const T* ai = a.data() + i * k;
+    for (index_t j = 0; j < m; ++j) ci[j] = T(0);
+    for (index_t l = 0; l < k; ++l) {
+      const T ail = ai[l];
+      const T* bl = b.data() + l * m;
+      for (index_t j = 0; j < m; ++j) ci[j] += ail * bl[j];
+    }
+  }
+  return c;
+}
+
+template <typename T>
+DenseMatrix<T> matmul_nt(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
+  const index_t n = a.rows(), k = a.cols(), m = b.rows();
+  DenseMatrix<T> c(n, m);
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < n; ++i) {
+    const T* ai = a.data() + i * k;
+    T* ci = c.data() + i * m;
+    for (index_t j = 0; j < m; ++j) {
+      const T* bj = b.data() + j * k;
+      T acc = T(0);
+      for (index_t l = 0; l < k; ++l) acc += ai[l] * bj[l];
+      ci[j] = acc;
+    }
+  }
+  return c;
+}
+
+template <typename T>
+DenseMatrix<T> matmul_tn(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
+  const index_t n = a.rows(), ka = a.cols(), kb = b.cols();
+  DenseMatrix<T> c(ka, kb, T(0));
+#if defined(_OPENMP)
+  const int n_threads = omp_get_max_threads();
+#else
+  const int n_threads = 1;
+#endif
+  std::vector<DenseMatrix<T>> locals(static_cast<std::size_t>(n_threads));
+#pragma omp parallel
+  {
+#if defined(_OPENMP)
+    const int tid = omp_get_thread_num();
+#else
+    const int tid = 0;
+#endif
+    DenseMatrix<T>& local = locals[static_cast<std::size_t>(tid)];
+    local.resize(ka, kb);
+    local.fill(T(0));
+#pragma omp for schedule(static)
+    for (index_t i = 0; i < n; ++i) {
+      const T* ai = a.data() + i * ka;
+      const T* bi = b.data() + i * kb;
+      for (index_t l = 0; l < ka; ++l) {
+        T* row = local.data() + l * kb;
+        const T ail = ai[l];
+        for (index_t j = 0; j < kb; ++j) row[j] += ail * bi[j];
+      }
+    }
+  }
+  for (const auto& local : locals) {
+    if (local.size() != c.size()) continue;
+    for (index_t p = 0; p < c.size(); ++p) c.data()[p] += local.data()[p];
+  }
+  return c;
+}
+
+}  // namespace oracle
+
+template <typename T>
+void expect_bitwise(const DenseMatrix<T>& got, const DenseMatrix<T>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (index_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(std::bit_cast<Bits<T>>(got.data()[p]),
+              std::bit_cast<Bits<T>>(want.data()[p]))
+        << what << ": element " << p << " is " << got.data()[p] << ", want "
+        << want.data()[p];
+  }
+}
+
+// Uniform values with every seventh element -0 and every eleventh
+// subnormal, so a chain that skipped its +0 start (0 + -0 is +0) or flushed
+// subnormals would show.
+template <typename T>
+DenseMatrix<T> gemm_operand(index_t rows, index_t cols, std::uint64_t seed) {
+  auto m = random_dense<T>(rows, cols, seed);
+  for (index_t p = 0; p < m.size(); ++p) {
+    if (p % 7 == 3) m.data()[p] = T(-0.0);
+    if (p % 11 == 5) m.data()[p] = std::numeric_limits<T>::denorm_min() * T(3);
+  }
+  return m;
+}
+
+// Every kind of remainder: empty and 1-row inputs, row counts off the
+// 4-row tile and the 16-row task, depths from 1 up, and column counts below,
+// at and between one and two vectors of either twin.
+constexpr index_t kOracleRows[] = {0, 1, 5, 17, 1003};
+constexpr index_t kOracleDepths[] = {1, 3, 37, 64};
+constexpr index_t kOracleCols[] = {1, 7, 16, 17, 33, 70};
+
+// The core twins this host can run, by name: the pick the public functions
+// make, the portable twin, and the AVX2 twin where the CPU has AVX2.
+template <typename T>
+std::vector<std::pair<std::string, detail::GemmKernel<T>>> gemm_twins() {
+  std::vector<std::pair<std::string, detail::GemmKernel<T>>> twins{
+      {"portable", &detail::gemm_portable<T>}};
+#if AGNN_GEMM_AVX2
+  if (detail::have_avx2()) twins.emplace_back("avx2", &detail::gemm_avx2<T>);
+#endif
+  return twins;
+}
+
+template <typename T>
+void check_gemm_against_oracle(int threads) {
+  ScopedThreads team(threads);
+  const auto twins = gemm_twins<T>();
+  for (const index_t n : kOracleRows) {
+    for (const index_t k : kOracleDepths) {
+      for (const index_t m : kOracleCols) {
+        const std::string shape = " n=" + std::to_string(n) + " k=" +
+                                  std::to_string(k) + " m=" + std::to_string(m) +
+                                  " threads=" + std::to_string(threads);
+        const auto seed = static_cast<std::uint64_t>(n * 10007 + k * 101 + m);
+        const auto a = gemm_operand<T>(n, k, seed);
+        const auto b = gemm_operand<T>(k, m, seed + 1);
+        const auto b_nt = gemm_operand<T>(m, k, seed + 2);
+        const auto b_tn = gemm_operand<T>(n, m, seed + 3);
+        const auto want = oracle::matmul(a, b);
+        const auto want_nt = oracle::matmul_nt(a, b_nt);
+        const auto want_tn = oracle::matmul_tn(a, b_tn);
+        ASSERT_NO_FATAL_FAILURE(expect_bitwise(matmul(a, b), want, "matmul" + shape));
+        ASSERT_NO_FATAL_FAILURE(
+            expect_bitwise(matmul_nt(a, b_nt), want_nt, "matmul_nt" + shape));
+        ASSERT_NO_FATAL_FAILURE(
+            expect_bitwise(matmul_tn(a, b_tn), want_tn, "matmul_tn" + shape));
+        for (const auto& [name, kernel] : twins) {
+          DenseMatrix<T> c;
+          detail::matmul_with(kernel, a, b, c);
+          ASSERT_NO_FATAL_FAILURE(expect_bitwise(c, want, name + " matmul" + shape));
+          detail::matmul_nt_with(kernel, a, b_nt, c);
+          ASSERT_NO_FATAL_FAILURE(
+              expect_bitwise(c, want_nt, name + " matmul_nt" + shape));
+          detail::matmul_tn_with(kernel, a, b_tn, c);
+          ASSERT_NO_FATAL_FAILURE(
+              expect_bitwise(c, want_tn, name + " matmul_tn" + shape));
+        }
+      }
+    }
+  }
+}
+
+class GemmOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(GemmOracle, FloatBitwiseEqualsPlainLoops) {
+  check_gemm_against_oracle<float>(GetParam());
+}
+
+TEST_P(GemmOracle, DoubleBitwiseEqualsPlainLoops) {
+  check_gemm_against_oracle<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GemmOracle, ::testing::Values(1, 2, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& pi) {
+                           return "t" + std::to_string(pi.param);
+                         });
+
+// Where the CPU has AVX2, the public functions run the AVX2 twin.
+TEST(GemmCore, PicksTheAvx2TwinWhereTheCpuHasIt) {
+#if AGNN_GEMM_AVX2
+  if (detail::have_avx2()) {
+    EXPECT_EQ(detail::gemm_kernel<float>(), &detail::gemm_avx2<float>);
+    EXPECT_EQ(detail::gemm_kernel<double>(), &detail::gemm_avx2<double>);
+    return;
+  }
+#endif
+  EXPECT_EQ(detail::gemm_kernel<float>(), &detail::gemm_portable<float>);
+  EXPECT_EQ(detail::gemm_kernel<double>(), &detail::gemm_portable<double>);
 }
 
 }  // namespace

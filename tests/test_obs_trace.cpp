@@ -26,9 +26,13 @@
 #include "obs/trace_report.hpp"
 
 // ---- allocation counting (this binary only) --------------------------------
-// Counts every global operator new. The zero-allocation test records spans
-// between two reads of the counter; everything else in the binary may
-// allocate freely.
+// Counts every global operator new, the nothrow forms included. The
+// zero-allocation test records spans between two reads of the counter;
+// everything else in the binary may allocate freely. Every form allocates
+// with malloc and every delete frees with free, so no allocation made here
+// is released by the sanitizer runtime's operator delete, or the reverse
+// (std::stable_sort, which the graph builder runs, takes its buffer from the
+// nothrow form).
 //
 // GCC pairs the replaced malloc-backed operator new with std::free at inline
 // sites and warns spuriously; the replacement set below is self-consistent.
@@ -37,16 +41,24 @@
 #endif
 static std::atomic<std::uint64_t> g_news{0};
 
-void* operator new(std::size_t size) {
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  return std::malloc(size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = ::operator new(size, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace agnn {
 namespace {
@@ -153,6 +165,40 @@ TEST(TraceSpans, BalancedAndMonotonicPerRank) {
   EXPECT_TRUE(saw_collective);
   EXPECT_TRUE(saw_superstep);
   EXPECT_TRUE(saw_phase);
+}
+
+// The dense ops are byte-tagged kernel spans: a traced GAT layer's forward
+// runs H' = H W and the activation, and its backward dW = H^T dH' and
+// Gamma = dH' W^T.
+TEST(TraceSpans, DenseOpsEmitByteTaggedKernelSpans) {
+  const auto el = graph::generate_kronecker({.scale = 5, .edges = 220, .seed = 3});
+  graph::BuildOptions bopt;
+  bopt.add_self_loops = true;
+  const auto g = graph::build_graph<double>(el, bopt);
+  const index_t n = g.num_vertices();
+  DenseMatrix<double> x(n, 6), d_out(n, 4);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < 6; ++j) x(i, j) = 0.1 * static_cast<double>(i - j);
+    for (index_t j = 0; j < 4; ++j) d_out(i, j) = 0.01 * static_cast<double>(i + j);
+  }
+  Rng rng(13);
+  const Layer<double> layer(ModelKind::kGAT, 6, 4, Activation::kRelu, rng);
+  LayerCache<double> cache;
+
+  ScopedTracing tracing;
+  layer.forward(g.adj, x, &cache);
+  layer.backward(g.adj, g.adj, cache, d_out);
+
+  std::map<std::string, int> spans, spans_without_bytes;
+  for (const auto& e : Tracer::instance().collect()) {
+    if (e.phase != 'B' || e.category != SpanCategory::kKernel) continue;
+    ++spans[e.name];
+    if (e.bytes == 0) ++spans_without_bytes[e.name];
+  }
+  for (const char* name : {"matmul", "matmul_tn", "matmul_nt", "activate"}) {
+    EXPECT_GT(spans[name], 0) << "no " << name << " span";
+    EXPECT_EQ(spans_without_bytes[name], 0) << name << " spans without bytes";
+  }
 }
 
 // ---- minimal JSON parser (validation only) ---------------------------------

@@ -6,7 +6,8 @@
 //      threads, and a repeated run, is bitwise equal to its output at 1
 //      thread.
 //   2. Steady-state allocation audit for the kernels that keep per-thread
-//      scratch (this binary replaces global operator new to count).
+//      scratch, the dense GEMMs and activation loops included (this binary
+//      replaces global operator new to count).
 
 #include <gtest/gtest.h>
 
@@ -21,9 +22,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/activations.hpp"
 #include "graph/graph.hpp"
 #include "graph/kronecker.hpp"
 #include "graph/reorder.hpp"
+#include "tensor/dense_ops.hpp"
 #include "tensor/fused.hpp"
 #include "tensor/sparse_ops.hpp"
 #include "tensor/spmm.hpp"
@@ -331,6 +334,31 @@ TEST(ScheduleSteadyState, RowParallelKernelsAllocateNothing) {
   const std::uint64_t after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before)
       << "steady-state row-parallel kernels performed " << (after - before)
+      << " allocations";
+}
+// The dense kernels ride the same audit: matmul_nt copies B^T and
+// matmul_tn keeps its per-thread partials in per-call-site thread scratch,
+// and the activation loops write into their outputs' capacity, so repeated
+// calls allocate nothing.
+TEST(ScheduleSteadyState, DenseKernelsAllocateNothing) {
+  const auto h = random_dense<double>(203, 24, 181);
+  const auto w = random_dense<double>(24, 17, 191);
+  const auto g = random_dense<double>(203, 17, 193);
+  DenseMatrix<double> hw, gwt, dw, act, dact;
+  auto run_once = [&] {
+    matmul(h, w, hw);
+    matmul_nt(g, w, gwt);
+    matmul_tn(h, g, dw);
+    activate(Activation::kRelu, hw, act);
+    activation_backward(Activation::kTanh, hw, g, dact);
+  };
+  run_once();
+  run_once();  // scratch and outputs at their high-water mark
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 5; ++rep) run_once();
+  const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before)
+      << "steady-state dense kernels performed " << (after - before)
       << " allocations";
 }
 // The reorder path rides the same audit: validate_permutation used to build

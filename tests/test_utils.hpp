@@ -1,6 +1,6 @@
 // Shared helpers for the test suite: random tensors and graphs with fixed
-// seeds, tolerant matrix comparison, header forging for decoder tests, and
-// a scoped OpenMP team size.
+// seeds, tolerant matrix comparison, bit patterns for bitwise comparison,
+// header forging for decoder tests, and a scoped OpenMP team size.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/erdos_renyi.hpp"
@@ -22,6 +23,11 @@
 #endif
 
 namespace agnn::testing {
+
+// The unsigned integer holding a float's or double's bit pattern, for
+// bitwise comparisons: std::bit_cast<Bits<T>>(x).
+template <typename T>
+using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
 
 // Pin the OpenMP team size for a scope (a no-op without OpenMP).
 class ScopedThreads {
