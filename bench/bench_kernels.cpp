@@ -11,7 +11,9 @@
 //     fused kernels at equal math;
 //   * CSR SpMM loop scheduling (static vs dynamic) on a heavy-tail graph;
 //   * the dense GEMM core (matmul, matmul_nt, matmul_tn) at one train-kron
-//     layer's shape.
+//     layer's shape;
+//   * a backward value transpose M^T H: transposed_into then SpMM, against
+//     the SpMM that reads M^T through A^T's source-edge map.
 #include <benchmark/benchmark.h>
 
 #include "baseline/local_engine.hpp"
@@ -436,6 +438,61 @@ void DenseGemm(benchmark::State& state, GemmForm form) {
 #endif
 }
 
+// ---- transposes in backward -------------------------------------------------
+// M^T H for an M with A's pattern, on train-kron's graph (Kronecker scale 14,
+// 16 n edge samples, symmetrized, self-loops; about 450k non-zeros) at
+// k = 64, float, 1 and 4 OpenMP threads: a serial transposed_into of M
+// followed by spmm_accumulate, against the gather through A^T's
+// source_edges() map.
+enum class TransposeForm { kTransposeThenSpmm, kGather };
+
+void SpmmTransposed(benchmark::State& state, TransposeForm form) {
+  struct Inputs {
+    CsrMatrix<real_t> a, at, m;
+    DenseMatrix<real_t> h;
+  };
+  static const Inputs in = [] {
+    graph::KroneckerParams p;
+    p.scale = 14;
+    p.edges = index_t(16) << 14;
+    p.seed = 41;
+    graph::BuildOptions opt;
+    opt.add_self_loops = true;
+    Inputs r;
+    r.a = graph::build_graph<real_t>(graph::generate_kronecker(p), opt).adj;
+    r.at = r.a.transposed();
+    r.m = r.a;
+    Rng rng(43);
+    for (auto& v : r.m.vals_mutable()) v = static_cast<real_t>(rng.next_uniform(-1, 1));
+    r.h = uniform_matrix(r.a.rows(), 64, 47);
+    return r;
+  }();
+#if defined(_OPENMP)
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  CsrMatrix<real_t> mt;
+  DenseMatrix<real_t> out(in.a.cols(), in.h.cols(), real_t(0));
+  for (auto _ : state) {
+    if (form == TransposeForm::kTransposeThenSpmm) {
+      in.m.transposed_into(mt);
+      spmm_accumulate(mt, in.h, out);
+    } else {
+      spmm_accumulate_transposed(in.at, in.m.vals(), in.h, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nnz"] = static_cast<double>(in.a.nnz());
+#if defined(_OPENMP)
+  omp_set_num_threads(prev_threads);
+#endif
+}
+
+BENCHMARK_CAPTURE(SpmmTransposed, transpose_then_spmm, TransposeForm::kTransposeThenSpmm)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SpmmTransposed, gather, TransposeForm::kGather)
+    ->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(DenseGemm, matmul, GemmForm::kNN)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(DenseGemm, matmul_nt, GemmForm::kNT)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(DenseGemm, matmul_tn, GemmForm::kTN)->ArgName("threads")->Arg(1)->Arg(4);

@@ -64,7 +64,8 @@ struct LayerCache {
   DenseMatrix<T> z;          // Z^l (pre-activation)
   DenseMatrix<T> dropout_mask;  // inverted-dropout multiplier (empty if off)
   CsrMatrix<T> psi;          // Psi(A, H) — attention matrix
-  DenseMatrix<T> psi_h;      // Psi * H (VA/AGNN) or Psi * H' (GAT): dW reuse
+  DenseMatrix<T> psi_h;      // the dW operand: Psi H (VA/AGNN), Â H (GCN),
+                             // (A + (1+eps) I) H (GIN); unused by GAT
   // GIN-only:
   DenseMatrix<T> mlp_pre;    // X W1 (pre-activation of the MLP hidden layer)
   DenseMatrix<T> mlp_hidden; // sigma_mlp(X W1)
@@ -180,19 +181,24 @@ class Layer {
   }
 
   // Backward pass into caller-owned `out`. `g` is G^l = dL/dZ^l; `adj_t` is
-  // A^T (the reversed graph of Section 5.2 — equal to A for undirected
-  // inputs). Scratch comes from `ws`; the LayerGrads slots are resized in
-  // place, so persistent grads reach a zero-allocation steady state.
+  // adj.transposed() (the reversed graph of Section 5.2): every transpose
+  // of a matrix with A's pattern (N, D, Psi) is read through its
+  // source_edges() map, so A^T must come from transposed_into even where A
+  // is symmetric. Scratch comes from `ws`; the LayerGrads slots are resized
+  // in place, so persistent grads reach a zero-allocation steady state.
   void backward(const CsrMatrix<T>& adj, const CsrMatrix<T>& adj_t,
                 const LayerCache<T>& cache, const DenseMatrix<T>& g,
                 Workspace<T>& ws, LayerGrads<T>& out) const {
+    AGNN_ASSERT(static_cast<index_t>(adj_t.source_edges().size()) == adj.nnz(),
+                "Layer::backward: adj_t must be adj.transposed(), whose "
+                "source_edges() map has one entry per edge of adj");
     if (kind_ != ModelKind::kGIN) out.d_w2.resize(0, 0);
     if (kind_ != ModelKind::kGAT) out.d_a.clear();
     switch (kind_) {
       case ModelKind::kGCN: backward_gcn(adj_t, cache, g, ws, out); return;
       case ModelKind::kVA: backward_va(adj, adj_t, cache, g, ws, out); return;
-      case ModelKind::kAGNN: backward_agnn(adj, cache, g, ws, out); return;
-      case ModelKind::kGAT: backward_gat(adj, cache, g, ws, out); return;
+      case ModelKind::kAGNN: backward_agnn(adj, adj_t, cache, g, ws, out); return;
+      case ModelKind::kGAT: backward_gat(adj, adj_t, cache, g, ws, out); return;
       case ModelKind::kGIN: backward_gin(adj_t, cache, g, ws, out); return;
     }
     AGNN_ASSERT(false, "unknown model kind");
@@ -296,7 +302,6 @@ class Layer {
         psi_gat<T>(adj, cache->s1, cache->s2, attention_slope_,
                    cache->scores_pre, cache->psi);
         spmm(cache->psi, cache->h_proj, z);
-        cache->psi_h = z;  // Psi * H' — not needed for dW here but kept for symmetry
         return;
       }
     }
@@ -341,16 +346,12 @@ class Layer {
     // N = A ⊙ (M H^T): an SDDMM — the MSpMM pattern of the backward DAG.
     auto n = ws.acquire_csr(adj.rows(), adj.cols(), adj.nnz());
     sddmm(adj, *m, h, *n);
-    // Gamma = (N + N^T) H + Psi^T M. Computed as two SpMMs instead of
-    // materializing N_+'s union pattern.
+    // Gamma = (N + N^T) H + Psi^T M. Computed as SpMMs instead of
+    // materializing N_+'s union pattern; N^T and Psi^T = A^T ⊙ H_x are read
+    // through adj_t's map, Psi from the forward cache.
     spmm(*n, h, out.d_h_in);
-    auto scratch = ws.acquire_csr(adj.cols(), adj.rows(), adj.nnz());
-    n->transposed_into(*scratch);
-    spmm_accumulate(*scratch, h, out.d_h_in);
-    // Psi^T = A^T ⊙ H_x; reuse the transposed adjacency pattern (and the
-    // same pooled buffer as N^T — its job there is done).
-    sddmm(adj_t, h, h, *scratch);
-    spmm_accumulate(*scratch, *m, out.d_h_in);
+    spmm_accumulate_transposed(adj_t, n->vals(), h, out.d_h_in);
+    spmm_accumulate_transposed(adj_t, cache.psi.vals(), *m, out.d_h_in);
   }
 
   // AGNN backward (derivation in DESIGN.md / README):
@@ -358,9 +359,9 @@ class Layer {
   //   Gamma = Psi^T M
   //         + diag(1/n) [ (D + D^T) Ĥ - diag(rowsum(D ⊙ Ĉ) + colsum(D ⊙ Ĉ)) Ĥ ]
   // where Ĥ has unit-normalized rows and Ĉ holds the cosine values.
-  void backward_agnn(const CsrMatrix<T>& adj, const LayerCache<T>& cache,
-                     const DenseMatrix<T>& g, Workspace<T>& ws,
-                     LayerGrads<T>& out) const {
+  void backward_agnn(const CsrMatrix<T>& adj, const CsrMatrix<T>& adj_t,
+                     const LayerCache<T>& cache, const DenseMatrix<T>& g,
+                     Workspace<T>& ws, LayerGrads<T>& out) const {
     const DenseMatrix<T>& h = cache.h_in;
     matmul_tn(cache.psi_h, g, out.d_w);
     auto m = ws.acquire_dense(g.rows(), k_in_);
@@ -369,57 +370,35 @@ class Layer {
     sddmm(adj, *m, h, *d);
 
     auto norms = ws.acquire_vec(h.rows());
-    row_l2_norms(h, *norms);
-    // Ĥ: unit rows (zero rows stay zero).
     auto h_hat = ws.acquire_dense(h.rows(), h.cols());
-    *h_hat = h;
-    for (index_t i = 0; i < h.rows(); ++i) {
-      const T ni = (*norms)[static_cast<std::size_t>(i)];
-      if (ni <= T(0)) continue;
-      T* row = h_hat->data() + i * h.cols();
-      for (index_t j = 0; j < h.cols(); ++j) row[j] /= ni;
-    }
+    unit_rows(h, *norms, *h_hat);
     // Cosine matrix Ĉ on the adjacency pattern: Psi values divided by A
     // values (identical when A is binary, which attention models use).
     auto cos = ws.acquire_csr_like(cache.psi);
     {
       auto cv = cos->vals_mutable();
       const auto av = adj.vals();
+#pragma omp parallel for schedule(static)
       for (index_t e = 0; e < cos->nnz(); ++e) {
         const T a = av[static_cast<std::size_t>(e)];
         cv[static_cast<std::size_t>(e)] =
             a != T(0) ? cv[static_cast<std::size_t>(e)] / a : T(0);
       }
     }
+    // The projection coefficient rowsum(D ⊙ Ĉ) + colsum(D ⊙ Ĉ) per vertex.
     auto dc = ws.acquire_csr(adj.rows(), adj.cols(), adj.nnz());
     hadamard_same_pattern(*d, *cos, *dc);
-    auto rs = ws.acquire_vec(adj.rows());
-    sparse_row_sums(*dc, *rs);
+    auto coef = ws.acquire_vec(adj.rows());
+    sparse_row_sums(*dc, *coef);
     auto cs = ws.acquire_vec(adj.cols());
     sparse_col_sums(*dc, *cs);
+    for (std::size_t i = 0; i < coef->size(); ++i) (*coef)[i] += (*cs)[i];
 
-    spmm(*d, *h_hat, out.d_h_in);
-    auto scratch = ws.acquire_csr(adj.cols(), adj.rows(), adj.nnz());
-    d->transposed_into(*scratch);
-    spmm_accumulate(*scratch, *h_hat, out.d_h_in);
     DenseMatrix<T>& gamma = out.d_h_in;
-    for (index_t i = 0; i < gamma.rows(); ++i) {
-      const T ni = (*norms)[static_cast<std::size_t>(i)];
-      T* gi = gamma.data() + i * gamma.cols();
-      if (ni <= T(0)) {
-        for (index_t j = 0; j < gamma.cols(); ++j) gi[j] = T(0);
-        continue;
-      }
-      const T coef =
-          (*rs)[static_cast<std::size_t>(i)] + (*cs)[static_cast<std::size_t>(i)];
-      const T* hhi = h_hat->data() + i * gamma.cols();
-      const T inv = T(1) / ni;
-      for (index_t j = 0; j < gamma.cols(); ++j) {
-        gi[j] = (gi[j] - coef * hhi[j]) * inv;
-      }
-    }
-    cache.psi.transposed_into(*scratch);  // reuse the transpose buffer
-    spmm_accumulate(*scratch, *m, gamma);
+    spmm(*d, *h_hat, gamma);
+    spmm_accumulate_transposed(adj_t, d->vals(), *h_hat, gamma);
+    project_rows(gamma, coef.cspan(), *h_hat, norms.cspan());
+    spmm_accumulate_transposed(adj_t, cache.psi.vals(), *m, gamma);
   }
 
   // GAT backward:
@@ -427,9 +406,9 @@ class Layer {
   //   dPsi = A-sampled G H'^T, dE = softmax-Jacobian(dPsi),
   //   dC = dE ⊙ A ⊙ LeakyReLU'(C), ds1 = row-sums(dC), ds2 = col-sums(dC),
   //   da = [H'^T ds1; H'^T ds2], dW = H^T dH', Gamma = dH' W^T.
-  void backward_gat(const CsrMatrix<T>& adj, const LayerCache<T>& cache,
-                    const DenseMatrix<T>& g, Workspace<T>& ws,
-                    LayerGrads<T>& out) const {
+  void backward_gat(const CsrMatrix<T>& adj, const CsrMatrix<T>& adj_t,
+                    const LayerCache<T>& cache, const DenseMatrix<T>& g,
+                    Workspace<T>& ws, LayerGrads<T>& out) const {
     const DenseMatrix<T>& h = cache.h_in;
     const DenseMatrix<T>& hp = cache.h_proj;
     const CsrMatrix<T>& s = cache.psi;
@@ -446,6 +425,7 @@ class Layer {
       auto v = d_c->vals_mutable();
       const auto c = cache.scores_pre.vals();
       const auto av = adj.vals();
+#pragma omp parallel for schedule(static)
       for (index_t e = 0; e < d_c->nnz(); ++e) {
         const T ce = c[static_cast<std::size_t>(e)];
         v[static_cast<std::size_t>(e)] *=
@@ -457,10 +437,8 @@ class Layer {
     auto ds2 = ws.acquire_vec(s.cols());
     sparse_col_sums(*d_c, *ds2);
 
-    auto st = ws.acquire_csr(s.cols(), s.rows(), s.nnz());
-    s.transposed_into(*st);
     auto d_hp = ws.acquire_dense(g.rows(), k_out_);
-    spmm(*st, g, *d_hp);
+    spmm_transposed(adj_t, s.vals(), g, *d_hp);
     const std::span<const T> a_all(a_);
     const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out_));
     const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out_));

@@ -120,30 +120,35 @@ LossResult<T> mse_loss(const DenseMatrix<T>& h, const DenseMatrix<T>& target) {
   return out;
 }
 
+// The predicted class of vertex i: the first column holding row i's maximum.
+template <typename T>
+index_t argmax_row(const DenseMatrix<T>& h, index_t i) {
+  const T* hi = h.data() + i * h.cols();
+  index_t best = 0;
+  for (index_t j = 1; j < h.cols(); ++j) {
+    if (hi[j] > hi[best]) best = j;
+  }
+  return best;
+}
+
 // Row-wise argmax — the predicted class per vertex.
 template <typename T>
 std::vector<index_t> argmax_rows(const DenseMatrix<T>& h) {
   std::vector<index_t> pred(static_cast<std::size_t>(h.rows()));
-  for (index_t i = 0; i < h.rows(); ++i) {
-    const T* hi = h.data() + i * h.cols();
-    index_t best = 0;
-    for (index_t j = 1; j < h.cols(); ++j) {
-      if (hi[j] > hi[best]) best = j;
-    }
-    pred[static_cast<std::size_t>(i)] = best;
-  }
+  for (index_t i = 0; i < h.rows(); ++i) pred[static_cast<std::size_t>(i)] = argmax_row(h, i);
   return pred;
 }
 
+// Fraction of (masked) vertices whose predicted class is their label;
+// counts in place, so a training step's accuracy allocates nothing.
 template <typename T>
 double accuracy(const DenseMatrix<T>& h, std::span<const index_t> labels,
                 std::span<const std::uint8_t> mask = {}) {
-  const auto pred = argmax_rows(h);
   index_t correct = 0, total = 0;
   for (index_t i = 0; i < h.rows(); ++i) {
     if (!mask.empty() && !mask[static_cast<std::size_t>(i)]) continue;
     ++total;
-    if (pred[static_cast<std::size_t>(i)] == labels[static_cast<std::size_t>(i)]) ++correct;
+    if (argmax_row(h, i) == labels[static_cast<std::size_t>(i)]) ++correct;
   }
   return total > 0 ? static_cast<double>(correct) / static_cast<double>(total) : 0.0;
 }

@@ -413,11 +413,13 @@ class DistEngine {
     {
       comm::ComputeRegion cr(world().stats());
       const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
-      // N = A ⊙ (M H^T): the backward SDDMM on the stationary pattern.
+      // N = A ⊙ (M H^T): the backward SDDMM on the stationary pattern. N^T
+      // and Psi^T are read through the block transpose's map.
+      const CsrMatrix<T>& a_t = layout_->adjacency_t();
       const CsrMatrix<T> n_blk = sddmm(layout_->adjacency(), m_r, c.h_c);
       row_r = spmm(n_blk, c.h_c);
-      col_c = spmm(n_blk.transposed(), c.h_r);
-      spmm_accumulate(c.psi.transposed(), m_r, col_c);
+      spmm_transposed(a_t, n_blk.vals(), c.h_r, col_c);
+      spmm_accumulate_transposed(a_t, c.psi.vals(), m_r, col_c);
     }
     return combine_partials(col_c, &row_r);
   }
@@ -430,18 +432,21 @@ class DistEngine {
       comm::ComputeRegion cr(world().stats());
       const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
       // D = dL/dcos on the edges; cos_ij = <h_i, h_j> / (|h_i| |h_j|).
+      const CsrMatrix<T>& a_t = layout_->adjacency_t();
       const CsrMatrix<T> d = sddmm(layout_->adjacency(), m_r, c.h_c);
       const CsrMatrix<T> dc = hadamard_same_pattern(d, c.cos);
       std::vector<T> norms_r, norms_c;
-      const DenseMatrix<T> hhat_r = unit_rows(c.h_r, norms_r);
-      const DenseMatrix<T> hhat_c = unit_rows(c.h_c, norms_c);
+      DenseMatrix<T> hhat_r, hhat_c;
+      unit_rows(c.h_r, norms_r, hhat_r);
+      unit_rows(c.h_c, norms_c, hhat_c);
       row_r = spmm(d, hhat_c);
-      col_c = spmm(d.transposed(), hhat_r);
+      spmm_transposed(a_t, d.vals(), hhat_r, col_c);
       // Both sides are linear in the partials, so the norm projection runs
       // before the reductions.
-      project_rows(row_r, sparse_row_sums(dc), hhat_r, norms_r);
-      project_rows(col_c, sparse_col_sums(dc), hhat_c, norms_c);
-      spmm_accumulate(c.psi.transposed(), m_r, col_c);
+      const std::vector<T> rs = sparse_row_sums(dc), cs = sparse_col_sums(dc);
+      project_rows<T>(row_r, rs, hhat_r, norms_r);
+      project_rows<T>(col_c, cs, hhat_c, norms_c);
+      spmm_accumulate_transposed(a_t, c.psi.vals(), m_r, col_c);
     }
     return combine_partials(col_c, &row_r);
   }
@@ -460,6 +465,7 @@ class DistEngine {
     {
       comm::ComputeRegion cr(world().stats());
       d_psi = sddmm_unweighted(psi, g_r, c.hp_c);
+#pragma omp parallel for schedule(static)
       for (index_t i = 0; i < a.rows(); ++i) {
         T acc = T(0);
         for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
@@ -479,6 +485,7 @@ class DistEngine {
       auto v = d_c.vals_mutable();
       const auto pre = c.scores_pre.vals();
       const T slope = layer.attention_slope();
+#pragma omp parallel for schedule(static)
       for (index_t i = 0; i < a.rows(); ++i) {
         const T dot = dots[static_cast<std::size_t>(i)];
         for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
@@ -490,7 +497,7 @@ class DistEngine {
       }
       ds1_r = sparse_row_sums(d_c);
       const std::vector<T> ds2_c = sparse_col_sums(d_c);
-      col_c = spmm(psi.transposed(), g_r);
+      spmm_transposed(layout_->adjacency_t(), psi.vals(), g_r, col_c);
       add_outer_inplace(col_c, std::span<const T>(ds2_c), a2);
       // da2 = H'^T ds2: the A blocks partition the edges, so every rank's
       // column partial adds in once through the da allreduce.
@@ -547,38 +554,6 @@ class DistEngine {
       axpy(T(1), row_v, gamma_v);
     }
     return gamma_v;
-  }
-
-  // Row-normalized copy of h; `norms` receives the row norms.
-  static DenseMatrix<T> unit_rows(const DenseMatrix<T>& h, std::vector<T>& norms) {
-    DenseMatrix<T> out = h;
-    row_l2_norms(h, norms);
-    for (index_t i = 0; i < h.rows(); ++i) {
-      const T ni = norms[static_cast<std::size_t>(i)];
-      if (ni <= T(0)) continue;
-      T* row = out.data() + i * h.cols();
-      for (index_t j = 0; j < h.cols(); ++j) row[j] /= ni;
-    }
-    return out;
-  }
-
-  // The chain rule through h_i / |h_i|: g_i <- (g_i - s_i hhat_i) / |h_i|,
-  // zero where |h_i| = 0.
-  static void project_rows(DenseMatrix<T>& g, const std::vector<T>& s,
-                           const DenseMatrix<T>& hhat, const std::vector<T>& norms) {
-    const index_t k = g.cols();
-    for (index_t i = 0; i < g.rows(); ++i) {
-      const T ni = norms[static_cast<std::size_t>(i)];
-      T* row = g.data() + i * k;
-      if (ni <= T(0)) {
-        for (index_t j = 0; j < k; ++j) row[j] = T(0);
-        continue;
-      }
-      const T coef = s[static_cast<std::size_t>(i)];
-      const T* hh = hhat.data() + i * k;
-      const T inv = T(1) / ni;
-      for (index_t j = 0; j < k; ++j) row[j] = (row[j] - coef * hh[j]) * inv;
-    }
   }
 
   DistPolicy policy_;

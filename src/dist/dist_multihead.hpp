@@ -255,7 +255,7 @@ class DistMultiHeadGatEngine {
         }
         ds1_r = sparse_row_sums(d_c);
         const std::vector<T> ds2_b = sparse_col_sums(d_c);
-        col_b = spmm(hc.psi_loc.transposed(), gh_r);
+        spmm_transposed(layout_.adjacency_t(), hc.psi_loc.vals(), gh_r, col_b);
         add_outer_inplace(col_b, std::span<const T>(ds2_b), a2);
         const std::vector<T> da2 = matvec_tn(hc.hp_b, std::span<const T>(ds2_b));
         std::copy(da2.begin(), da2.end(), hg.d_a.begin() + k_head);

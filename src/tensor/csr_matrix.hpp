@@ -96,6 +96,15 @@ class CsrMatrix {
   std::span<const T> vals() const { return vals_; }
   std::span<T> vals_mutable() { return vals_; }
 
+  // Where each entry came from, if this matrix was built by
+  // transposed_into: entry p is edge source_edges()[p] of the source matrix,
+  // so the value transpose of any matrix M with the source's pattern reads
+  // M.vals()[source_edges()[p]] (spmm_transposed). Empty otherwise. The map
+  // is part of the value transposed_into builds, not a cache: copies, moves
+  // and cast keep it, the constructor, from_coo and block leave it empty,
+  // and every assignment replaces it.
+  std::span<const index_t> source_edges() const { return src_; }
+
   index_t row_begin(index_t i) const { return row_ptr_[static_cast<std::size_t>(i)]; }
   index_t row_end(index_t i) const { return row_ptr_[static_cast<std::size_t>(i) + 1]; }
   index_t row_nnz(index_t i) const { return row_end(i) - row_begin(i); }
@@ -122,12 +131,15 @@ class CsrMatrix {
   }
 
   // Transpose via a counting pass; O(nnz + n). The backward pass runs on the
-  // reversed graph (Section 5.2), so this is on the training hot path.
+  // reversed graph (Section 5.2); it builds A^T once and reads every other
+  // transpose through A^T's source_edges() map.
   //
   // The out-parameter form writes into caller-owned storage and allocates
   // nothing once `out`'s buffers have the capacity (Workspace-friendly). It
   // avoids the usual scratch cursor vector: row_ptr_ entries themselves serve
-  // as insertion cursors, then get shifted back down by one at the end.
+  // as insertion cursors, then get shifted back down by one at the end. Rows
+  // are visited in order, so row c of `out` lists its source rows in
+  // increasing order.
   void transposed_into(CsrMatrix& out) const {
     AGNN_ASSERT(&out != this, "transposed_into cannot alias its input");
     out.n_rows_ = n_cols_;
@@ -135,15 +147,17 @@ class CsrMatrix {
     out.row_ptr_.assign(static_cast<std::size_t>(n_cols_ + 1), 0);
     out.col_idx_.resize(col_idx_.size());
     out.vals_.resize(vals_.size());
+    out.src_.resize(col_idx_.size());
     auto& rp = out.row_ptr_;
     for (const index_t c : col_idx_) rp[static_cast<std::size_t>(c) + 1]++;
     for (std::size_t i = 1; i < rp.size(); ++i) rp[i] += rp[i - 1];
     for (index_t i = 0; i < n_rows_; ++i) {
       for (index_t e = row_begin(i); e < row_end(i); ++e) {
         const index_t c = col_at(e);
-        const index_t pos = rp[static_cast<std::size_t>(c)]++;
-        out.col_idx_[static_cast<std::size_t>(pos)] = i;
-        out.vals_[static_cast<std::size_t>(pos)] = val_at(e);
+        const auto pos = static_cast<std::size_t>(rp[static_cast<std::size_t>(c)]++);
+        out.col_idx_[pos] = i;
+        out.vals_[pos] = val_at(e);
+        out.src_[pos] = e;
       }
     }
     // Each rp[c] has advanced to rp[c+1]'s final value; shift back down.
@@ -206,15 +220,21 @@ class CsrMatrix {
   CsrMatrix<U> cast() const {
     std::vector<U> v(vals_.size());
     for (std::size_t i = 0; i < vals_.size(); ++i) v[i] = static_cast<U>(vals_[i]);
-    return CsrMatrix<U>(n_rows_, n_cols_, row_ptr_, col_idx_, std::move(v));
+    CsrMatrix<U> out(n_rows_, n_cols_, row_ptr_, col_idx_, std::move(v));
+    out.src_ = src_;
+    return out;
   }
 
  private:
+  template <typename U>
+  friend class CsrMatrix;
+
   index_t n_rows_ = 0;
   index_t n_cols_ = 0;
   std::vector<index_t> row_ptr_{0};
   std::vector<index_t> col_idx_;
   std::vector<T> vals_;
+  std::vector<index_t> src_;  // source_edges(); empty unless transposed_into built it
 };
 
 }  // namespace agnn

@@ -357,6 +357,60 @@ std::vector<T> row_l2_norms(const DenseMatrix<T>& a) {
   return s;
 }
 
+// AGNN's normalization pair, shared by the sequential layer and the
+// distributed engine. unit_rows writes the row norms of h to `norms` and
+// hhat_i = h_i / |h_i| to `hhat` (a zero row stays zero); `hhat` must not
+// alias `h`.
+template <typename T>
+void unit_rows(const DenseMatrix<T>& h, std::vector<T>& norms, DenseMatrix<T>& hhat) {
+  AGNN_KERNEL_SCOPE("unit_rows",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(h.size()), 2, sizeof(T)));
+  AGNN_ASSERT(&hhat != &h, "unit_rows: hhat must not alias h");
+  row_l2_norms(h, norms);
+  const index_t k = h.cols();
+  hhat.resize(h.rows(), k);
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < h.rows(); ++i) {
+    const T ni = norms[static_cast<std::size_t>(i)];
+    const T* hi = h.data() + i * k;
+    T* oi = hhat.data() + i * k;
+    if (ni <= T(0)) {
+      for (index_t j = 0; j < k; ++j) oi[j] = hi[j];
+      continue;
+    }
+    for (index_t j = 0; j < k; ++j) oi[j] = hi[j] / ni;
+  }
+}
+
+// The chain rule through h_i / |h_i|, in place: g_i <- (g_i - s_i hhat_i) /
+// |h_i|, and zero where |h_i| = 0.
+template <typename T>
+void project_rows(DenseMatrix<T>& g, std::span<const T> s, const DenseMatrix<T>& hhat,
+                  std::span<const T> norms) {
+  AGNN_KERNEL_SCOPE("project_rows",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(g.size()), 3, sizeof(T)));
+  AGNN_ASSERT(g.same_shape(hhat), "project_rows: shape mismatch");
+  AGNN_ASSERT(static_cast<index_t>(s.size()) == g.rows() &&
+                  static_cast<index_t>(norms.size()) == g.rows(),
+              "project_rows: one coefficient and one norm per row");
+  const index_t k = g.cols();
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < g.rows(); ++i) {
+    const T ni = norms[static_cast<std::size_t>(i)];
+    T* row = g.data() + i * k;
+    if (ni <= T(0)) {
+      for (index_t j = 0; j < k; ++j) row[j] = T(0);
+      continue;
+    }
+    const T coef = s[static_cast<std::size_t>(i)];
+    const T* hh = hhat.data() + i * k;
+    const T inv = T(1) / ni;
+    for (index_t j = 0; j < k; ++j) row[j] = (row[j] - coef * hh[j]) * inv;
+  }
+}
+
 // C = x * y^T (outer product; used by GAT backward: dH' += ds1 a1^T + ...)
 template <typename T>
 void outer(std::span<const T> x, std::span<const T> y, DenseMatrix<T>& c) {

@@ -11,6 +11,7 @@
 // before writing it.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -24,6 +25,10 @@
 #include "tensor/dense_ops.hpp"
 
 namespace agnn {
+
+namespace detail {
+struct SparseColSumsScratch;
+}  // namespace detail
 
 // SDDMM (Table 2): out has the sparsity pattern of `pattern` and values
 //   out(i,j) = pattern(i,j) * <x_i, y_j>
@@ -182,9 +187,10 @@ std::vector<T> sparse_row_sums(const CsrMatrix<T>& a) {
 // and merges them column-parallel. The row partition uses a *static*
 // schedule so each thread sums a deterministic row range — the result is
 // bitwise reproducible run to run, which the differential harness and the
-// dist-vs-sequential tests rely on. Small inputs keep the serial path: no
-// partial-buffer allocation, and below the threshold the merge would cost
-// more than the sums.
+// dist-vs-sequential tests rely on. The partials live in the calling
+// thread's scratch, so a steady-state call allocates nothing. Small inputs
+// keep the serial path: below the threshold the merge would cost more than
+// the sums.
 template <typename T>
 void sparse_col_sums(const CsrMatrix<T>& a, std::vector<T>& s) {
   AGNN_KERNEL_SCOPE("sparse_col_sums",
@@ -196,24 +202,23 @@ void sparse_col_sums(const CsrMatrix<T>& a, std::vector<T>& s) {
   s.assign(cols, T(0));
 #if defined(_OPENMP)
   constexpr index_t kParallelNnzThreshold = index_t(1) << 13;
-  if (omp_get_max_threads() > 1 && a.nnz() >= kParallelNnzThreshold) {
-    std::vector<T> partials;
+  const int max_team = omp_get_max_threads();
+  if (max_team > 1 && a.nnz() >= kParallelNnzThreshold) {
+    T* partials = detail::thread_scratch<T, detail::SparseColSumsScratch>(
+        static_cast<std::size_t>(max_team) * cols);
     int teams = 1;
 #pragma omp parallel
     {
-#pragma omp single
-      {
-        teams = omp_get_num_threads();
-        partials.assign(static_cast<std::size_t>(teams) * cols, T(0));
-      }  // implicit barrier: partials is sized before any thread writes
-      T* mine = partials.data() +
-                static_cast<std::size_t>(omp_get_thread_num()) * cols;
+      const int tid = omp_get_thread_num();
+      if (tid == 0) teams = omp_get_num_threads();
+      T* mine = partials + static_cast<std::size_t>(tid) * cols;
+      std::fill(mine, mine + cols, T(0));
 #pragma omp for schedule(static)
       for (index_t i = 0; i < a.rows(); ++i) {
         for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
           mine[static_cast<std::size_t>(a.col_at(e))] += a.val_at(e);
         }
-      }  // implicit barrier: all partials complete before the merge
+      }  // implicit barrier: all partials complete (and `teams` set) before the merge
 #pragma omp for schedule(static)
       for (index_t j = 0; j < a.cols(); ++j) {
         T acc = T(0);

@@ -11,6 +11,8 @@
 // The by-value signatures are thin wrappers kept for tests and examples.
 #pragma once
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "obs/obs_scope.hpp"
@@ -60,6 +62,50 @@ DenseMatrix<T> spmm_semiring(const CsrMatrix<T>& a, const DenseMatrix<T>& h) {
   return out;
 }
 
+namespace detail {
+
+// The real-semiring SpMM row loop shared by spmm, spmm_accumulate and their
+// transposed forms: row i of `out` gets (or, with Accumulate, adds)
+// sum over a's edges e of val(e) * h_{col(e)}, in edge order. `val` says how
+// an edge's value is read: from `a` itself, or through a transposed
+// pattern's source_edges() map.
+template <bool Accumulate, typename T, typename Val>
+void spmm_rows(const CsrMatrix<T>& a, Val val, const DenseMatrix<T>& h,
+               DenseMatrix<T>& out) {
+  const index_t n = a.rows(), k = h.cols();
+#pragma omp parallel for schedule(dynamic, 64)
+  for (index_t i = 0; i < n; ++i) {
+    T* oi = out.data() + i * k;
+    if constexpr (!Accumulate) {
+      for (index_t g = 0; g < k; ++g) oi[g] = T(0);
+    }
+    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
+      const index_t j = a.col_at(e);
+      const T av = val(e);
+      const T* hj = h.data() + j * k;
+      for (index_t g = 0; g < k; ++g) oi[g] += av * hj[g];
+    }
+  }
+}
+
+// M^T's value at position e of `at`, where M has the pattern `at` was
+// transposed from.
+template <typename T>
+auto gathered_values(const CsrMatrix<T>& at, std::span<const T> m_vals,
+                     const char* kernel) {
+  const auto src = at.source_edges();
+  AGNN_ASSERT(static_cast<index_t>(src.size()) == at.nnz(),
+              std::string(kernel) +
+                  ": `at` has no source_edges() map (build it with transposed_into)");
+  AGNN_ASSERT(m_vals.size() == src.size(),
+              std::string(kernel) + ": m_vals must hold one value per edge of `at`");
+  return [src, m_vals](index_t e) {
+    return m_vals[static_cast<std::size_t>(src[static_cast<std::size_t>(e)])];
+  };
+}
+
+}  // namespace detail
+
 // The standard real-semiring SpMM fast path: out = A * H.
 template <typename T>
 void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out) {
@@ -69,19 +115,8 @@ void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out) {
                                 static_cast<std::uint64_t>(h.cols()),
                                 sizeof(T), sizeof(index_t)));
   AGNN_ASSERT(a.cols() == h.rows(), "spmm: dimension mismatch");
-  const index_t n = a.rows(), k = h.cols();
-  out.resize(n, k);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    T* oi = out.data() + i * k;
-    for (index_t g = 0; g < k; ++g) oi[g] = T(0);
-    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-      const index_t j = a.col_at(e);
-      const T av = a.val_at(e);
-      const T* hj = h.data() + j * k;
-      for (index_t g = 0; g < k; ++g) oi[g] += av * hj[g];
-    }
-  }
+  out.resize(a.rows(), h.cols());
+  detail::spmm_rows<false>(a, [&a](index_t e) { return a.val_at(e); }, h, out);
 }
 
 template <typename T>
@@ -105,17 +140,47 @@ void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.cols() == h.rows(), "spmm_accumulate: dimension mismatch");
   AGNN_ASSERT(out.rows() == a.rows() && out.cols() == h.cols(),
               "spmm_accumulate: output shape mismatch");
-  const index_t n = a.rows(), k = h.cols();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    T* oi = out.data() + i * k;
-    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-      const index_t j = a.col_at(e);
-      const T av = a.val_at(e);
-      const T* hj = h.data() + j * k;
-      for (index_t g = 0; g < k; ++g) oi[g] += av * hj[g];
-    }
-  }
+  detail::spmm_rows<true>(a, [&a](index_t e) { return a.val_at(e); }, h, out);
+}
+
+// out = M^T * H for a matrix M with the pattern of A, given at = A^T built
+// by transposed_into and M's values `m_vals` in A's edge order. Nothing is
+// transposed: each value is read through at.source_edges(). Row i of `at`
+// lists its source rows in increasing order, the order transposed_into
+// writes, so the result is bitwise equal to transposing M and running spmm.
+// The byte tag adds the map read to spmm's.
+template <typename T>
+void spmm_transposed(const CsrMatrix<T>& at, std::span<const T> m_vals,
+                     const DenseMatrix<T>& h, DenseMatrix<T>& out) {
+  AGNN_KERNEL_SCOPE("spmm_transposed",
+                    obs::spmm_traffic_bytes(
+                        static_cast<std::uint64_t>(at.nnz()),
+                        static_cast<std::uint64_t>(at.rows()),
+                        static_cast<std::uint64_t>(h.cols()), sizeof(T),
+                        sizeof(index_t)) +
+                        static_cast<std::uint64_t>(at.nnz()) * sizeof(index_t));
+  AGNN_ASSERT(at.cols() == h.rows(), "spmm_transposed: dimension mismatch");
+  const auto val = detail::gathered_values(at, m_vals, "spmm_transposed");
+  out.resize(at.rows(), h.cols());
+  detail::spmm_rows<false>(at, val, h, out);
+}
+
+// out += M^T * H, the accumulating form of spmm_transposed.
+template <typename T>
+void spmm_accumulate_transposed(const CsrMatrix<T>& at, std::span<const T> m_vals,
+                                const DenseMatrix<T>& h, DenseMatrix<T>& out) {
+  AGNN_KERNEL_SCOPE("spmm_accumulate_transposed",
+                    obs::spmm_traffic_bytes(
+                        static_cast<std::uint64_t>(at.nnz()),
+                        static_cast<std::uint64_t>(at.rows()),
+                        static_cast<std::uint64_t>(h.cols()), sizeof(T),
+                        sizeof(index_t)) +
+                        static_cast<std::uint64_t>(at.nnz()) * sizeof(index_t));
+  AGNN_ASSERT(at.cols() == h.rows(), "spmm_accumulate_transposed: dimension mismatch");
+  AGNN_ASSERT(out.rows() == at.rows() && out.cols() == h.cols(),
+              "spmm_accumulate_transposed: output shape mismatch");
+  const auto val = detail::gathered_values(at, m_vals, "spmm_accumulate_transposed");
+  detail::spmm_rows<true>(at, val, h, out);
 }
 
 // Runtime-dispatched aggregation, the user-facing ⊕ of the generic model.

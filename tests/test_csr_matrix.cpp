@@ -115,6 +115,73 @@ TEST(CsrMatrix, TransposeInvolution) {
   }
 }
 
+// transposed_into records where each entry came from: entry p of A^T is
+// edge source_edges()[p] of A, and row c of A^T lists its source rows (and
+// so its source edges) in increasing order. A rectangular block checks that
+// rows and columns are not confused.
+TEST(CsrMatrix, SourceEdgesMapEachTransposedEntryToItsEdge) {
+  const auto a = testing::random_sparse<double>(23, 0.2, 19).block(2, 19, 0, 23);
+  const auto at = a.transposed();
+  const auto src = at.source_edges();
+  ASSERT_EQ(static_cast<index_t>(src.size()), a.nnz());
+  std::vector<int> hits(static_cast<std::size_t>(a.nnz()), 0);
+  for (index_t c = 0; c < at.rows(); ++c) {
+    for (index_t p = at.row_begin(c); p < at.row_end(c); ++p) {
+      const index_t e = src[static_cast<std::size_t>(p)];
+      ASSERT_GE(e, 0);
+      ASSERT_LT(e, a.nnz());
+      ++hits[static_cast<std::size_t>(e)];
+      EXPECT_EQ(at.vals()[static_cast<std::size_t>(p)], a.vals()[static_cast<std::size_t>(e)]);
+      EXPECT_EQ(a.col_at(e), c);
+      const index_t r = at.col_at(p);
+      EXPECT_TRUE(a.row_begin(r) <= e && e < a.row_end(r));
+      if (p > at.row_begin(c)) {
+        EXPECT_LT(src[static_cast<std::size_t>(p) - 1], e);
+      }
+    }
+  }
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+// The map is part of the value transposed_into builds: copies, moves and
+// cast keep it, the constructor, from_coo and block leave it empty, and any
+// assignment replaces it.
+TEST(CsrMatrix, SourceEdgesFollowTheValueNotTheStorage) {
+  const auto a = testing::random_sparse<double>(12, 0.3, 29);
+  EXPECT_TRUE(a.source_edges().empty());  // from_coo
+  const CsrMatrix<double> built(a.rows(), a.cols(),
+                                {a.row_ptr().begin(), a.row_ptr().end()},
+                                {a.col_idx().begin(), a.col_idx().end()},
+                                {a.vals().begin(), a.vals().end()});
+  EXPECT_TRUE(built.source_edges().empty());
+  const auto at = a.transposed();
+  const std::vector<index_t> map(at.source_edges().begin(), at.source_edges().end());
+  ASSERT_EQ(static_cast<index_t>(map.size()), a.nnz());
+  EXPECT_TRUE(at.block(0, 6, 0, 12).source_edges().empty());
+  auto same_map = [&](const auto& m) {
+    return std::vector<index_t>(m.source_edges().begin(), m.source_edges().end()) == map;
+  };
+
+  CsrMatrix<double> copy = at;
+  EXPECT_TRUE(same_map(copy));
+  EXPECT_TRUE(same_map(at.with_values(2.0)));
+  EXPECT_TRUE(same_map(at.cast<float>()));
+  CsrMatrix<double> moved = std::move(copy);
+  EXPECT_TRUE(same_map(moved));
+
+  moved = a;  // an assignment from a matrix without a map clears it
+  EXPECT_TRUE(moved.source_edges().empty());
+  const auto b = testing::random_sparse<double>(12, 0.2, 31);
+  moved = b.transposed();  // and one from another transpose replaces it
+  ASSERT_EQ(static_cast<index_t>(moved.source_edges().size()), b.nnz());
+  for (index_t p = 0; p < moved.nnz(); ++p) {
+    EXPECT_EQ(moved.vals()[static_cast<std::size_t>(p)],
+              b.vals()[static_cast<std::size_t>(moved.source_edges()[static_cast<std::size_t>(p)])]);
+  }
+  a.transposed_into(moved);  // transposed_into rebuilds it in place
+  EXPECT_TRUE(same_map(moved));
+}
+
 TEST(CsrMatrix, WithValuesKeepsPattern) {
   const auto a = testing::random_sparse<float>(9, 0.3, 7);
   const auto ones = a.with_values(1.0f);

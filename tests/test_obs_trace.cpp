@@ -187,7 +187,7 @@ TEST(TraceSpans, DenseOpsEmitByteTaggedKernelSpans) {
 
   ScopedTracing tracing;
   layer.forward(g.adj, x, &cache);
-  layer.backward(g.adj, g.adj, cache, d_out);
+  layer.backward(g.adj, g.adj.transposed(), cache, d_out);
 
   std::map<std::string, int> spans, spans_without_bytes;
   for (const auto& e : Tracer::instance().collect()) {

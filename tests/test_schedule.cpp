@@ -4,17 +4,20 @@
 //   1. Thread-count sweep, TEST_P over team size x adversarial graph
 //      family: every sparse and fused kernel's output at 1, 2 and 4
 //      threads, and a repeated run, is bitwise equal to its output at 1
-//      thread.
+//      thread; the gathered SpMMs also equal transposed_into + SpMM.
 //   2. Steady-state allocation audit for the kernels that keep per-thread
-//      scratch, the dense GEMMs and activation loops included (this binary
-//      replaces global operator new to count).
+//      scratch, the dense GEMMs and activation loops included, and for a
+//      whole Trainer::step of each model kind (this binary replaces global
+//      operator new to count).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -23,6 +26,8 @@
 #include <vector>
 
 #include "core/activations.hpp"
+#include "core/model.hpp"
+#include "core/optimizer.hpp"
 #include "graph/graph.hpp"
 #include "graph/kronecker.hpp"
 #include "graph/reorder.hpp"
@@ -159,13 +164,15 @@ CsrMatrix<double> family_graph(int family, std::uint64_t seed) {
 
 // ---- 1. thread-count sweep ---------------------------------------------------
 
-// Inputs shared by the sweep: a weighted adversarial graph plus features,
-// aggregation operands, and attention score vectors.
+// Inputs shared by the sweep: a weighted adversarial graph and its
+// transpose plus features, aggregation operands, attention score vectors,
+// and the values of a matrix M with A's pattern (the gathered SpMMs
+// compute M^T H).
 struct SweepInputs {
-  CsrMatrix<double> a;
+  CsrMatrix<double> a, at;
   DenseMatrix<double> h;
   DenseMatrix<double> x;
-  std::vector<double> s1, s2, row_scale, col_scale;
+  std::vector<double> s1, s2, row_scale, col_scale, m_vals;
 };
 
 SweepInputs make_inputs(int family) {
@@ -183,6 +190,9 @@ SweepInputs make_inputs(int family) {
   for (auto& v : in.s2) v = rng.next_uniform(-1, 1);
   for (auto& v : in.row_scale) v = rng.next_uniform(0.5, 2.0);
   for (auto& v : in.col_scale) v = rng.next_uniform(0.5, 2.0);
+  in.at = in.a.transposed();
+  in.m_vals.resize(static_cast<std::size_t>(in.a.nnz()));
+  for (auto& v : in.m_vals) v = rng.next_uniform(-1, 1);
   return in;
 }
 
@@ -190,6 +200,7 @@ SweepInputs make_inputs(int family) {
 // reference and the candidate runs share one code path.
 struct SweepOutputs {
   DenseMatrix<double> spmm_out, acc_out, agg_min, agg_max, agg_mean;
+  DenseMatrix<double> spmm_t, acc_t;
   DenseMatrix<double> fused_va, fused_gat;
   CsrMatrix<double> sddmm_out, sddmm_unw, scaled, softmax, softmax_dx;
   CsrMatrix<double> va, agnn, gat_scores, gat_psi;
@@ -202,6 +213,9 @@ SweepOutputs run_all_kernels(const SweepInputs& in) {
   spmm(in.a, in.h, o.spmm_out);
   o.acc_out = random_dense<double>(in.a.rows(), in.h.cols(), 157);
   spmm_accumulate(in.a, in.h, o.acc_out);
+  spmm_transposed<double>(in.at, in.m_vals, in.h, o.spmm_t);
+  o.acc_t = random_dense<double>(in.at.rows(), in.h.cols(), 165);
+  spmm_accumulate_transposed<double>(in.at, in.m_vals, in.h, o.acc_t);
   aggregate(in.a, in.h, Aggregation::kMin, o.agg_min);
   aggregate(in.a, in.h, Aggregation::kMax, o.agg_max);
   aggregate(in.a, in.h, Aggregation::kMean, o.agg_mean);
@@ -227,11 +241,13 @@ SweepOutputs run_all_kernels(const SweepInputs& in) {
   return o;
 }
 
-// The 17 outputs as named value arrays.
+// The 19 outputs as named value arrays.
 std::vector<std::pair<const char*, std::span<const double>>> named_values(
     const SweepOutputs& o) {
   return {{"spmm", o.spmm_out.flat()},
           {"spmm_accumulate", o.acc_out.flat()},
+          {"spmm_transposed", o.spmm_t.flat()},
+          {"spmm_accumulate_transposed", o.acc_t.flat()},
           {"aggregate(min)", o.agg_min.flat()},
           {"aggregate(max)", o.agg_max.flat()},
           {"aggregate(mean)", o.agg_mean.flat()},
@@ -249,21 +265,23 @@ std::vector<std::pair<const char*, std::span<const double>>> named_values(
           {"sparse_row_sums", o.row_sums}};
 }
 
+void expect_bitwise_equal(const char* name, std::span<const double> gv,
+                          std::span<const double> wv, const std::string& run) {
+  ASSERT_EQ(gv.size(), wv.size()) << name << " (" << run << ")";
+  for (std::size_t i = 0; i < gv.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(gv[i]), std::bit_cast<std::uint64_t>(wv[i]))
+        << name << " differs from the reference run at flat index " << i << " ("
+        << run << ")";
+  }
+}
+
 void expect_bitwise_equal(const SweepOutputs& got, const SweepOutputs& want,
                           const std::string& run) {
   const auto g = named_values(got);
   const auto w = named_values(want);
   ASSERT_EQ(g.size(), w.size());
   for (std::size_t f = 0; f < g.size(); ++f) {
-    const auto& [name, gv] = g[f];
-    const auto& wv = w[f].second;
-    ASSERT_EQ(gv.size(), wv.size()) << name << " (" << run << ")";
-    for (std::size_t i = 0; i < gv.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(gv[i]),
-                std::bit_cast<std::uint64_t>(wv[i]))
-          << name << " differs from the reference run at flat index " << i
-          << " (" << run << ")";
-    }
+    expect_bitwise_equal(g[f].first, g[f].second, w[f].second, run);
   }
 }
 
@@ -299,6 +317,29 @@ TEST_P(ScheduleEquivalence, BitwiseReproducibleAcrossRunsAndThreadCounts) {
   expect_bitwise_equal(run_with_threads(ref_threads, in), first,
                        std::to_string(ref_threads) + " thread after " +
                            std::to_string(threads));
+}
+
+// The gathered SpMMs read M^T through A^T's source_edges() map; at every
+// team size they equal, bit for bit, a sequential transposed_into of M
+// followed by spmm and spmm_accumulate.
+TEST_P(ScheduleEquivalence, GatheredSpmmMatchesTransposeThenSpmm) {
+  const auto [ref_threads, threads, family] = GetParam();
+  const auto in = make_inputs(family);
+  DenseMatrix<double> want_spmm, want_acc;
+  {
+    ScopedThreads team(ref_threads);
+    CsrMatrix<double> m = in.a, mt;
+    std::copy(in.m_vals.begin(), in.m_vals.end(), m.vals_mutable().begin());
+    m.transposed_into(mt);
+    spmm(mt, in.h, want_spmm);
+    want_acc = random_dense<double>(mt.rows(), in.h.cols(), 165);
+    spmm_accumulate(mt, in.h, want_acc);
+  }
+  const auto got = run_with_threads(threads, in);
+  const std::string run = std::to_string(threads) + " threads vs transpose + spmm";
+  expect_bitwise_equal("spmm_transposed", got.spmm_t.flat(), want_spmm.flat(), run);
+  expect_bitwise_equal("spmm_accumulate_transposed", got.acc_t.flat(),
+                       want_acc.flat(), run);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -361,6 +402,46 @@ TEST(ScheduleSteadyState, DenseKernelsAllocateNothing) {
       << "steady-state dense kernels performed " << (after - before)
       << " allocations";
 }
+// A whole training step rides the same audit: on a graph above
+// sparse_col_sums' parallel threshold (8,192 non-zeros) at 2 threads, with
+// three layers, every kind's Trainer::step after two warm-up steps runs
+// forward, loss, backward (gathered transposes, column-sum partials in
+// thread scratch), the optimizer and the training accuracy without one
+// allocation.
+TEST(ScheduleSteadyState, TrainerStepAllocatesNothing) {
+  ScopedThreads team(2);
+  graph::BuildOptions opt;
+  opt.add_self_loops = true;
+  const auto g = graph::build_graph<double>(
+      graph::generate_kronecker({.scale = 11, .edges = index_t(16) << 11, .seed = 7}),
+      opt);
+  ASSERT_GE(g.adj.nnz(), index_t(1) << 13);
+  const CsrMatrix<double> adj_gcn = graph::sym_normalize(g.adj);
+  const index_t n = g.num_vertices();
+  DenseMatrix<double> x = random_dense<double>(n, 8, 197);
+  scale_inplace(x, 0.1);  // keeps the unnormalized kinds' activations modest
+  std::vector<index_t> labels(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i % 4;
+  for (const ModelKind kind : {ModelKind::kVA, ModelKind::kAGNN, ModelKind::kGAT,
+                               ModelKind::kGCN, ModelKind::kGIN}) {
+    const CsrMatrix<double>& adj = kind == ModelKind::kGCN ? adj_gcn : g.adj;
+    const CsrMatrix<double> adj_t = adj.transposed();
+    GnnConfig cfg;
+    cfg.kind = kind;
+    cfg.in_features = 8;
+    cfg.layer_widths = {8, 8, 4};
+    GnnModel<double> model(cfg);
+    Trainer<double> trainer(model, std::make_unique<AdamOptimizer<double>>(0.01));
+    trainer.step(adj, adj_t, x, labels);
+    trainer.step(adj, adj_t, x, labels);  // pool, caches, scratch, Adam state warm
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    for (int step = 0; step < 5; ++step) trainer.step(adj, adj_t, x, labels);
+    const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << to_string(kind) << ": 5 steady-state steps performed "
+                             << (after - before) << " allocations";
+  }
+}
+
 // The reorder path rides the same audit: validate_permutation used to build
 // an n-element vector<bool> per permute_* call; it now stamps an epoch into
 // a thread_local high-water buffer, so repeated permutes within capacity

@@ -127,6 +127,29 @@ TEST(Training, SgdStepMovesWeightsOppositeGradient) {
   }
 }
 
+// Every backward reads its transposes through adj_t's source_edges() map,
+// so an adj_t that did not come from transposed_into is refused, even where
+// A is symmetric and equal to its transpose.
+TEST(Training, BackwardRefusesAdjTWithoutSourceEdgeMap) {
+  const auto task = make_planted_task(24, 5);
+  for (const ModelKind kind : {ModelKind::kVA, ModelKind::kAGNN, ModelKind::kGAT,
+                               ModelKind::kGCN, ModelKind::kGIN}) {
+    Rng rng(3);
+    const Layer<double> layer(kind, 4, 3, Activation::kRelu, rng);
+    LayerCache<double> cache;
+    const DenseMatrix<double> z = layer.forward(task.adj, task.x, &cache);
+    const DenseMatrix<double> g(z.rows(), z.cols(), 0.25);
+    try {
+      layer.backward(task.adj, task.adj, cache, g);
+      ADD_FAILURE() << to_string(kind) << ": backward accepted an adj_t without a map";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("adj_t"), std::string::npos) << e.what();
+    }
+    EXPECT_NO_THROW(layer.backward(task.adj, task.adj.transposed(), cache, g))
+        << to_string(kind);
+  }
+}
+
 TEST(Training, DeterministicGivenSeed) {
   const auto task = make_planted_task(30, 31);
   auto run = [&](std::uint64_t seed) {
