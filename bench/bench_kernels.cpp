@@ -13,7 +13,9 @@
 //   * the dense GEMM core (matmul, matmul_nt, matmul_tn) at one train-kron
 //     layer's shape;
 //   * a backward value transpose M^T H: transposed_into then SpMM, against
-//     the SpMM that reads M^T through A^T's source-edge map.
+//     the SpMM that reads M^T through A^T's source-edge map;
+//   * the SDDMM and SpMM kernels that run on the sparse core
+//     (tensor/sparse_core.hpp) on train-kron's graph.
 #include <benchmark/benchmark.h>
 
 #include "baseline/local_engine.hpp"
@@ -446,19 +448,22 @@ void DenseGemm(benchmark::State& state, GemmForm form) {
 // source_edges() map.
 enum class TransposeForm { kTransposeThenSpmm, kGather };
 
-void SpmmTransposed(benchmark::State& state, TransposeForm form) {
-  struct Inputs {
-    CsrMatrix<real_t> a, at, m;
-    DenseMatrix<real_t> h;
-  };
-  static const Inputs in = [] {
+struct TrainKronInputs {
+  CsrMatrix<real_t> a, at, m;
+  DenseMatrix<real_t> h;
+};
+
+// train-kron's graph, A^T with its source-edge map, an M with A's pattern
+// and uniform values, and a k = 64 feature matrix.
+const TrainKronInputs& train_kron_inputs() {
+  static const TrainKronInputs in = [] {
     graph::KroneckerParams p;
     p.scale = 14;
     p.edges = index_t(16) << 14;
     p.seed = 41;
     graph::BuildOptions opt;
     opt.add_self_loops = true;
-    Inputs r;
+    TrainKronInputs r;
     r.a = graph::build_graph<real_t>(graph::generate_kronecker(p), opt).adj;
     r.at = r.a.transposed();
     r.m = r.a;
@@ -467,6 +472,11 @@ void SpmmTransposed(benchmark::State& state, TransposeForm form) {
     r.h = uniform_matrix(r.a.rows(), 64, 47);
     return r;
   }();
+  return in;
+}
+
+void SpmmTransposed(benchmark::State& state, TransposeForm form) {
+  const TrainKronInputs& in = train_kron_inputs();
 #if defined(_OPENMP)
   const int prev_threads = omp_get_max_threads();
   omp_set_num_threads(static_cast<int>(state.range(0)));
@@ -489,6 +499,61 @@ void SpmmTransposed(benchmark::State& state, TransposeForm form) {
 #endif
 }
 
+// ---- the sparse core ---------------------------------------------------------
+// The kernels that run on tensor/sparse_core.hpp, on train-kron's graph at
+// k = 64, float, 1 and 4 OpenMP threads: the edge-lane dot (sddmm,
+// psi_agnn), the row-register aggregate (spmm, the gathered
+// spmm_accumulate_transposed, fused GAT) and both (fused VA).
+enum class CoreKernel { kSddmm, kPsiAgnn, kSpmm, kSpmmAccTransposed, kFusedVa, kFusedGat };
+
+void SparseCore(benchmark::State& state, CoreKernel kernel) {
+  const TrainKronInputs& in = train_kron_inputs();
+  static const DenseMatrix<real_t> g = uniform_matrix(in.a.rows(), 64, 53);
+  static const std::vector<real_t> norms = row_l2_norms(in.h);
+  static const std::vector<real_t> s1 = matvec(in.h, g.row(0));
+  static const std::vector<real_t> s2 = matvec(in.h, g.row(1));
+#if defined(_OPENMP)
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  CsrMatrix<real_t> sampled;
+  DenseMatrix<real_t> out(in.a.rows(), in.h.cols(), real_t(0));
+  for (auto _ : state) {
+    switch (kernel) {
+      case CoreKernel::kSddmm: sddmm(in.a, in.h, g, sampled); break;
+      case CoreKernel::kPsiAgnn:
+        psi_agnn(in.a, in.h, std::span<const real_t>(norms), sampled);
+        break;
+      case CoreKernel::kSpmm: spmm(in.a, in.h, out); break;
+      case CoreKernel::kSpmmAccTransposed:
+        spmm_accumulate_transposed(in.at, in.m.vals(), in.h, out);
+        break;
+      case CoreKernel::kFusedVa: fused_va_aggregate(in.a, in.h, g, out); break;
+      case CoreKernel::kFusedGat:
+        fused_gat_aggregate(in.a, std::span<const real_t>(s1), std::span<const real_t>(s2),
+                            real_t(0.2), in.h, out);
+        break;
+    }
+    benchmark::DoNotOptimize(sampled.vals().data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nnz"] = static_cast<double>(in.a.nnz());
+#if defined(_OPENMP)
+  omp_set_num_threads(prev_threads);
+#endif
+}
+
+BENCHMARK_CAPTURE(SparseCore, sddmm, CoreKernel::kSddmm)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SparseCore, psi_agnn, CoreKernel::kPsiAgnn)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SparseCore, spmm, CoreKernel::kSpmm)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SparseCore, spmm_accumulate_transposed, CoreKernel::kSpmmAccTransposed)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SparseCore, fused_va_aggregate, CoreKernel::kFusedVa)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SparseCore, fused_gat_aggregate, CoreKernel::kFusedGat)
+    ->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(SpmmTransposed, transpose_then_spmm, TransposeForm::kTransposeThenSpmm)
     ->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(SpmmTransposed, gather, TransposeForm::kGather)

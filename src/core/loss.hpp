@@ -12,6 +12,7 @@
 #include <omp.h>
 #endif
 
+#include "obs/obs_scope.hpp"
 #include "tensor/dense_matrix.hpp"
 
 namespace agnn {
@@ -34,6 +35,9 @@ void softmax_cross_entropy(const DenseMatrix<T>& h,
                            std::span<const index_t> labels, LossResult<T>& out,
                            std::span<const std::uint8_t> mask = {},
                            index_t normalize_count = -1) {
+  AGNN_KERNEL_SCOPE("softmax_cross_entropy",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(h.size()), 2, sizeof(T)));
   AGNN_ASSERT(static_cast<index_t>(labels.size()) == h.rows(),
               "cross entropy: one label per row required");
   AGNN_ASSERT(mask.empty() || static_cast<index_t>(mask.size()) == h.rows(),

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/obs_scope.hpp"
 #include "tensor/common.hpp"
 
 namespace agnn {
@@ -40,6 +41,10 @@ class SgdOptimizer final : public Optimizer<T> {
       : lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {}
 
   void step(std::size_t slot, std::span<T> param, std::span<const T> grad) override {
+    // param and grad in, param out; with momentum the velocity in and out.
+    AGNN_KERNEL_SCOPE("sgd_step", obs::elementwise_traffic_bytes(
+                                      param.size(), momentum_ == T(0) ? 3 : 5,
+                                      sizeof(T)));
     AGNN_ASSERT(param.size() == grad.size(), "sgd: param/grad size mismatch");
     if (momentum_ == T(0)) {
       for (std::size_t i = 0; i < param.size(); ++i) {
@@ -103,6 +108,9 @@ class AdamOptimizer final : public Optimizer<T> {
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps), weight_decay_(weight_decay) {}
 
   void step(std::size_t slot, std::span<T> param, std::span<const T> grad) override {
+    // param, grad and both moments in; param and both moments out.
+    AGNN_KERNEL_SCOPE("adam_step",
+                      obs::elementwise_traffic_bytes(param.size(), 7, sizeof(T)));
     AGNN_ASSERT(param.size() == grad.size(), "adam: param/grad size mismatch");
     auto& st = state(slot, param.size());
     st.t += 1;

@@ -27,6 +27,7 @@
 #include "core/workspace.hpp"
 #include "dist/layout.hpp"
 #include "obs/trace.hpp"
+#include "tensor/sparse_core.hpp"
 
 namespace agnn::dist {
 
@@ -184,13 +185,11 @@ class DistEngine {
         staged(h_v, c.h_c, "summa.stage_spmm", [&](const Stage& s) {
           // Psi = A ⊙ (H H^T) sampled on the stage's edges, then the stage
           // SpMM: both touch only the just-landed rows of H_C.
-          auto pv = c.psi.vals_mutable();
-          for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
-            for (index_t e = e0; e < e1; ++e) {
-              pv[static_cast<std::size_t>(e)] =
-                  a.val_at(e) * dot_rows(c.h_r, i, c.h_c, a.col_at(e));
-            }
-          });
+          T* pv = c.psi.vals_mutable().data();
+          stage_dots(a, s, c.h_r, c.h_c,
+                     [pv, av = a.vals().data()](index_t, index_t e, T dot) {
+                       pv[e] = av[e] * dot;
+                     });
           stage_spmm(c.psi, s, c.h_c, c.ph_r);
         });
         break;
@@ -200,25 +199,18 @@ class DistEngine {
         c.psi = a;
         auto nr = ws_.acquire_vec(a.rows());
         auto nc = ws_.acquire_vec(a.cols());
-        inv_row_norms(c.h_r, *nr);
+        inv_row_norms(c.h_r, 0, c.h_r.rows(), std::span<T>(*nr));
         staged(h_v, c.h_c, "summa.stage_spmm", [&](const Stage& s) {
           // Column inverse norms become available as each panel lands.
-          for (index_t x = s.cols.begin; x < s.cols.end; ++x) {
-            const T nx = std::sqrt(dot_rows(c.h_c, x, c.h_c, x));
-            (*nc)[static_cast<std::size_t>(x)] = nx > T(0) ? T(1) / nx : T(0);
-          }
-          auto cv = c.cos.vals_mutable();
-          auto pv = c.psi.vals_mutable();
-          for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
-            const T ni = (*nr)[static_cast<std::size_t>(i)];
-            for (index_t e = e0; e < e1; ++e) {
-              const index_t col = a.col_at(e);
-              const T cos = dot_rows(c.h_r, i, c.h_c, col) * ni *
-                            (*nc)[static_cast<std::size_t>(col)];
-              cv[static_cast<std::size_t>(e)] = cos;
-              pv[static_cast<std::size_t>(e)] = cos * a.val_at(e);
-            }
-          });
+          inv_row_norms(c.h_c, s.cols.begin, s.cols.end, std::span<T>(*nc));
+          stage_dots(a, s, c.h_r, c.h_c,
+                     [cv = c.cos.vals_mutable().data(), pv = c.psi.vals_mutable().data(),
+                      av = a.vals().data(), cols = a.col_idx().data(), nr = nr->data(),
+                      nc = nc->data()](index_t i, index_t e, T dot) {
+                       const T cos = dot * nr[i] * nc[cols[e]];
+                       cv[e] = cos;
+                       pv[e] = cos * av[e];
+                     });
           stage_spmm(c.psi, s, c.h_c, c.ph_r);
         });
         break;
@@ -316,32 +308,42 @@ class DistEngine {
     for (index_t i = 0; i < rows; ++i) f(i, s.begin(i), s.end(i));
   }
 
-  // acc += Psi x_c over the stage's edges.
+  // acc += Psi x_c over the stage's edges, through the sparse core's
+  // row-register aggregate: each row's chain continues from the stages
+  // before it.
   static void stage_spmm(const CsrMatrix<T>& psi, const Stage& s,
                          const DenseMatrix<T>& x_c, DenseMatrix<T>& acc) {
     const index_t k = x_c.cols();
-    for_stage_rows(s, psi.rows(), [&](index_t i, index_t e0, index_t e1) {
-      T* out = acc.data() + i * k;
-      for (index_t e = e0; e < e1; ++e) {
-        const T av = psi.val_at(e);
-        const T* src = x_c.data() + psi.col_at(e) * k;
-        for (index_t f = 0; f < k; ++f) out[f] += av * src[f];
-      }
+    detail::with_sparse_core([&](auto core) {
+      for_stage_rows(s, psi.rows(), [&](index_t i, index_t e0, index_t e1) {
+        core.aggregate(x_c.data(), k, psi.col_idx().data(), e0, e1,
+                       detail::own_values(psi), acc.data() + i * k, true);
+      });
     });
   }
 
-  static T dot_rows(const DenseMatrix<T>& x, index_t i, const DenseMatrix<T>& y,
-                    index_t j) {
-    const T* xi = x.data() + i * x.cols();
-    const T* yj = y.data() + j * y.cols();
-    T acc = T(0);
-    for (index_t f = 0; f < x.cols(); ++f) acc += xi[f] * yj[f];
-    return acc;
+  // store(i, e, <x_r row i, x_c row col(e)>) for every edge e of the stage,
+  // through the sparse core's edge-lane dot.
+  template <typename Store>
+  static void stage_dots(const CsrMatrix<T>& a, const Stage& s, const DenseMatrix<T>& x_r,
+                         const DenseMatrix<T>& x_c, Store store) {
+    const index_t k = x_r.cols();
+    detail::with_sparse_core([&](auto core) {
+      for_stage_rows(s, a.rows(), [&](index_t i, index_t e0, index_t e1) {
+        core.edge_dots(x_r.data() + i * k, x_c.data(), k, a.col_idx().data(), e0, e1,
+                       [&store, i](index_t e, T dot) { store(i, e, dot); });
+      });
+    });
   }
 
-  static void inv_row_norms(const DenseMatrix<T>& h, std::vector<T>& n) {
-    row_l2_norms(h, n);
-    for (auto& v : n) v = v > T(0) ? T(1) / v : T(0);
+  // n[i] = 1 / |h_i|, or 0 for a zero row, for the rows [r0, r1) of h.
+  static void inv_row_norms(const DenseMatrix<T>& h, index_t r0, index_t r1,
+                            std::span<T> n) {
+    row_l2_norms(h, r0, r1, n);
+    for (index_t i = r0; i < r1; ++i) {
+      T& v = n[static_cast<std::size_t>(i)];
+      v = v > T(0) ? T(1) / v : T(0);
+    }
   }
 
   // ---- backward --------------------------------------------------------------

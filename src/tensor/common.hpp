@@ -15,6 +15,15 @@
 #include <string>
 #include <vector>
 
+// The vector cores are written once and built twice: a portable twin at the
+// build's baseline ISA and, for GCC on x86-64 only, an AVX2 twin inside a
+// `#pragma GCC target("avx2")` region.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define AGNN_AVX2_TWIN 1
+#else
+#define AGNN_AVX2_TWIN 0
+#endif
+
 namespace agnn {
 
 using index_t = std::int64_t;
@@ -63,6 +72,21 @@ inline U* thread_scratch(std::size_t n) {
   thread_local std::vector<U> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
+}
+
+// True when this build has the AVX2 twins of the vector cores
+// (gemm_core.hpp, sparse_core.hpp) and the CPU runs AVX2. Both cores share
+// this one pick, checked once per process.
+inline bool have_avx2() {
+#if AGNN_AVX2_TWIN
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return ok;
+#else
+  return false;
+#endif
 }
 
 }  // namespace detail

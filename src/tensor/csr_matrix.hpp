@@ -96,6 +96,26 @@ class CsrMatrix {
   std::span<const T> vals() const { return vals_; }
   std::span<T> vals_mutable() { return vals_; }
 
+  // For a kernel that writes a matrix with `pattern`'s structure entry by
+  // entry (sddmm, sddmm_unweighted, psi_agnn). Takes `pattern`'s shape, row
+  // pointers and source-edge map, sizes the column indices and values to
+  // its non-zeros without copying them, and returns the column-index slots.
+  // The kernel must copy every slot from `pattern.col_idx()` and write every
+  // value, which leaves `*this` as `*this = pattern` followed by the value
+  // writes would. On `pattern` itself it changes nothing. Within capacity
+  // it allocates nothing.
+  std::span<index_t> adopt_structure(const CsrMatrix& pattern) {
+    if (&pattern != this) {
+      n_rows_ = pattern.n_rows_;
+      n_cols_ = pattern.n_cols_;
+      row_ptr_ = pattern.row_ptr_;
+      col_idx_.resize(pattern.col_idx_.size());
+      vals_.resize(pattern.vals_.size());
+      src_ = pattern.src_;
+    }
+    return col_idx_;
+  }
+
   // Where each entry came from, if this matrix was built by
   // transposed_into: entry p is edge source_edges()[p] of the source matrix,
   // so the value transpose of any matrix M with the source's pattern reads

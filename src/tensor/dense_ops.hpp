@@ -207,6 +207,9 @@ DenseMatrix<T> transpose(const DenseMatrix<T>& a) {
 // y = A * x (matrix-vector; used for s = H' a in GAT)
 template <typename T>
 void matvec(const DenseMatrix<T>& a, std::span<const T> x, std::vector<T>& y) {
+  AGNN_KERNEL_SCOPE("matvec", obs::elementwise_traffic_bytes(
+                                  static_cast<std::uint64_t>(a.size() + a.cols() + a.rows()),
+                                  1, sizeof(T)));
   AGNN_ASSERT(a.cols() == static_cast<index_t>(x.size()), "matvec: dimension mismatch");
   y.resize(static_cast<std::size_t>(a.rows()));
 #pragma omp parallel for schedule(static)
@@ -228,6 +231,9 @@ std::vector<T> matvec(const DenseMatrix<T>& a, std::span<const T> x) {
 // y = A^T * x (used for parameter-vector gradients da = H'^T ds)
 template <typename T>
 void matvec_tn(const DenseMatrix<T>& a, std::span<const T> x, std::vector<T>& y) {
+  AGNN_KERNEL_SCOPE("matvec_tn", obs::elementwise_traffic_bytes(
+                                     static_cast<std::uint64_t>(a.size() + a.rows() + a.cols()),
+                                     1, sizeof(T)));
   AGNN_ASSERT(a.rows() == static_cast<index_t>(x.size()), "matvec_tn: dimension mismatch");
   y.assign(static_cast<std::size_t>(a.cols()), T(0));
   for (index_t i = 0; i < a.rows(); ++i) {
@@ -247,6 +253,8 @@ std::vector<T> matvec_tn(const DenseMatrix<T>& a, std::span<const T> x) {
 // C += alpha * A
 template <typename T>
 void axpy(T alpha, const DenseMatrix<T>& a, DenseMatrix<T>& c) {
+  AGNN_KERNEL_SCOPE("axpy", obs::elementwise_traffic_bytes(
+                                static_cast<std::uint64_t>(a.size()), 3, sizeof(T)));
   AGNN_ASSERT(a.same_shape(c), "axpy: shape mismatch");
 #pragma omp parallel for schedule(static)
   for (index_t i = 0; i < a.size(); ++i) c.data()[i] += alpha * a.data()[i];
@@ -337,17 +345,26 @@ std::vector<T> row_sums(const DenseMatrix<T>& a) {
   return s;
 }
 
-// The vector n of the AGNN formulation: n_i = ||h_i||_2.
+// The vector n of the AGNN formulation, n_i = ||h_i||_2, for the rows
+// [r0, r1) of a, into s[r0, r1).
 template <typename T>
-void row_l2_norms(const DenseMatrix<T>& a, std::vector<T>& s) {
-  s.resize(static_cast<std::size_t>(a.rows()));
+void row_l2_norms(const DenseMatrix<T>& a, index_t r0, index_t r1, std::span<T> s) {
+  AGNN_ASSERT(0 <= r0 && r0 <= r1 && r1 <= a.rows() &&
+                  r1 <= static_cast<index_t>(s.size()),
+              "row_l2_norms: row range out of bounds");
 #pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < a.rows(); ++i) {
+  for (index_t i = r0; i < r1; ++i) {
     const T* ai = a.data() + i * a.cols();
     T acc = T(0);
     for (index_t j = 0; j < a.cols(); ++j) acc += ai[j] * ai[j];
     s[static_cast<std::size_t>(i)] = std::sqrt(acc);
   }
+}
+
+template <typename T>
+void row_l2_norms(const DenseMatrix<T>& a, std::vector<T>& s) {
+  s.resize(static_cast<std::size_t>(a.rows()));
+  row_l2_norms(a, 0, a.rows(), std::span<T>(s));
 }
 
 template <typename T>
@@ -433,6 +450,10 @@ DenseMatrix<T> outer(std::span<const T> x, std::span<const T> y) {
 // C += x * y^T
 template <typename T>
 void add_outer_inplace(DenseMatrix<T>& c, std::span<const T> x, std::span<const T> y) {
+  AGNN_KERNEL_SCOPE("add_outer_inplace",
+                    obs::elementwise_traffic_bytes(
+                        static_cast<std::uint64_t>(c.size()), 2, sizeof(T)) +
+                        (x.size() + y.size()) * sizeof(T));
   AGNN_ASSERT(c.rows() == static_cast<index_t>(x.size()) &&
                   c.cols() == static_cast<index_t>(y.size()),
               "add_outer_inplace: shape mismatch");

@@ -22,6 +22,7 @@
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_ops.hpp"
+#include "tensor/sparse_core.hpp"
 #include "tensor/sparse_ops.hpp"
 
 namespace agnn {
@@ -69,22 +70,13 @@ void psi_agnn(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.rows() == h.rows() && a.cols() == h.rows(),
               "psi_agnn: A must be n x n matching H's rows");
   AGNN_ASSERT(static_cast<index_t>(norms.size()) == h.rows(), "psi_agnn: norms size");
-  if (&out != &a) out = a;
-  auto v = out.vals_mutable();
-  const index_t k = h.cols();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const T* hi = h.data() + i * k;
-    const T ni = norms[static_cast<std::size_t>(i)];
-    for (index_t t = a.row_begin(i); t < a.row_end(i); ++t) {
-      const index_t j = a.col_at(t);
-      const T* hj = h.data() + j * k;
-      T dot = T(0);
-      for (index_t g = 0; g < k; ++g) dot += hi[g] * hj[g];
-      const T denom = ni * norms[static_cast<std::size_t>(j)];
-      v[static_cast<std::size_t>(t)] = denom > T(0) ? a.val_at(t) * (dot / denom) : T(0);
-    }
-  }
+  detail::edge_dot_rows(
+      a, h, h, out,
+      [av = a.vals().data(), cols = a.col_idx().data(), norms = norms.data()](
+          index_t i, index_t t, T dot) {
+        const T denom = norms[i] * norms[cols[t]];
+        return denom > T(0) ? av[t] * (dot / denom) : T(0);
+      });
 }
 
 template <typename T>
@@ -176,22 +168,26 @@ void fused_va_aggregate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.cols() == x.rows(), "fused_va: aggregation input shape");
   AGNN_ASSERT(&out != &h && &out != &x, "fused_va: output cannot alias an input");
   const index_t n = a.rows(), k = h.cols(), kx = x.cols();
+  const std::size_t max_row = static_cast<std::size_t>(a.max_row_nnz());
+  const index_t* cols = a.col_idx().data();
+  const T* av = a.vals().data();
   out.resize(n, kx);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    const T* hi = h.data() + i * k;
-    T* oi = out.data() + i * kx;
-    for (index_t g = 0; g < kx; ++g) oi[g] = T(0);
-    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-      const index_t j = a.col_at(e);
-      const T* hj = h.data() + j * k;
-      T score = T(0);
-      for (index_t g = 0; g < k; ++g) score += hi[g] * hj[g];
-      score *= a.val_at(e);
-      const T* xj = x.data() + j * kx;
-      for (index_t g = 0; g < kx; ++g) oi[g] += score * xj[g];
+  detail::with_sparse_core([&](auto core) {
+#pragma omp parallel
+    {
+      // The row's scores, A_ij <h_i, h_j>, then the aggregation over them.
+      T* scores = detail::thread_scratch<T>(max_row);
+#pragma omp for schedule(dynamic, 64)
+      for (index_t i = 0; i < n; ++i) {
+        const index_t b = a.row_begin(i), e = a.row_end(i);
+        core.edge_dots(h.data() + i * k, h.data(), k, cols, b, e,
+                       [scores, av, b](index_t t, T dot) { scores[t - b] = dot * av[t]; });
+        core.aggregate(x.data(), kx, cols, b, e,
+                       [scores, b](index_t t) { return scores[t - b]; },
+                       out.data() + i * kx, false);
+      }
     }
-  }
+  });
 }
 
 template <typename T>
@@ -220,40 +216,42 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
   AGNN_ASSERT(&out != &x, "fused_gat: output cannot alias an input");
   const index_t n = a.rows(), kx = x.cols();
   const std::size_t max_row = static_cast<std::size_t>(a.max_row_nnz());
+  const index_t* cols = a.col_idx().data();
   out.resize(n, kx);
-  out.fill(T(0));
+  detail::with_sparse_core([&](auto core) {
 #pragma omp parallel
-  {
-    // Sized once to the longest row, so a thread's buffer never grows with
-    // the rows it happens to draw.
-    T* scores = detail::thread_scratch<T>(max_row);
+    {
+      // Sized once to the longest row, so a thread's buffer never grows with
+      // the rows it happens to draw.
+      T* scores = detail::thread_scratch<T>(max_row);
 #pragma omp for schedule(dynamic, 64)
-    for (index_t i = 0; i < n; ++i) {
-      const index_t b = a.row_begin(i), e = a.row_end(i);
-      if (b == e) continue;
-      const T s1i = s1[static_cast<std::size_t>(i)];
-      T mx = -std::numeric_limits<T>::infinity();
-      for (index_t t = b; t < e; ++t) {
-        const T c = s1i + s2[static_cast<std::size_t>(a.col_at(t))];
-        const T lrelu = (c > T(0) ? c : leaky_slope * c) * a.val_at(t);
-        scores[t - b] = lrelu;
-        mx = std::max(mx, lrelu);
-      }
-      T sum = T(0);
-      for (index_t t = b; t < e; ++t) {
-        const T ex = std::exp(scores[t - b] - mx);
-        scores[t - b] = ex;
-        sum += ex;
-      }
-      const T inv = T(1) / sum;
-      T* oi = out.data() + i * kx;
-      for (index_t t = b; t < e; ++t) {
-        const T w = scores[t - b] * inv;
-        const T* xj = x.data() + a.col_at(t) * kx;
-        for (index_t g = 0; g < kx; ++g) oi[g] += w * xj[g];
+      for (index_t i = 0; i < n; ++i) {
+        const index_t b = a.row_begin(i), e = a.row_end(i);
+        T inv = T(0);
+        if (b != e) {
+          const T s1i = s1[static_cast<std::size_t>(i)];
+          T mx = -std::numeric_limits<T>::infinity();
+          for (index_t t = b; t < e; ++t) {
+            const T c = s1i + s2[static_cast<std::size_t>(a.col_at(t))];
+            const T lrelu = (c > T(0) ? c : leaky_slope * c) * a.val_at(t);
+            scores[t - b] = lrelu;
+            mx = std::max(mx, lrelu);
+          }
+          T sum = T(0);
+          for (index_t t = b; t < e; ++t) {
+            const T ex = std::exp(scores[t - b] - mx);
+            scores[t - b] = ex;
+            sum += ex;
+          }
+          inv = T(1) / sum;
+        }
+        // An empty row still gets its zeros from the tile.
+        core.aggregate(x.data(), kx, cols, b, e,
+                       [scores, b, inv](index_t t) { return scores[t - b] * inv; },
+                       out.data() + i * kx, false);
       }
     }
-  }
+  });
 }
 
 template <typename T>

@@ -25,20 +25,15 @@
 // vectors at the build's baseline ISA and, for GCC on x86-64 only, an AVX2
 // twin with 32-byte vectors inside a `#pragma GCC target("avx2")` region. The
 // tile bodies are always_inline templates, so they compile under the target
-// of the twin they inline into. gemm_kernel() picks the twin once per process
-// from __builtin_cpu_supports("avx2"). No global -m flag is needed, and there
-// is no switch to force a twin.
+// of the twin they inline into. gemm_kernel() picks the twin from
+// have_avx2() (tensor/common.hpp), the per-process pick the sparse core
+// shares. No global -m flag is needed, and there is no switch to force a
+// twin.
 #pragma once
 
 #include <cstring>
 
 #include "tensor/common.hpp"
-
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
-#define AGNN_GEMM_AVX2 1
-#else
-#define AGNN_GEMM_AVX2 0
-#endif
 
 namespace agnn::detail {
 
@@ -134,7 +129,7 @@ void gemm_portable(const GemmBlock<T>& g) {
   gemm_block_body<T, 16>(g);
 }
 
-#if AGNN_GEMM_AVX2
+#if AGNN_AVX2_TWIN
 #pragma GCC push_options
 #pragma GCC target("avx2")
 // The AVX2 twin: 32-byte vectors. Call it only where have_avx2() holds.
@@ -145,23 +140,9 @@ void gemm_avx2(const GemmBlock<T>& g) {
 #pragma GCC pop_options
 #endif
 
-// True when this build has the AVX2 twin and the CPU runs AVX2; checked
-// once per process.
-inline bool have_avx2() {
-#if AGNN_GEMM_AVX2
-  static const bool ok = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return ok;
-#else
-  return false;
-#endif
-}
-
 template <typename T>
 GemmKernel<T> gemm_kernel() {
-#if AGNN_GEMM_AVX2
+#if AGNN_AVX2_TWIN
   if (have_avx2()) return &gemm_avx2<T>;
 #endif
   return &gemm_portable<T>;

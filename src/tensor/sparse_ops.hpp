@@ -23,11 +23,39 @@
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_ops.hpp"
+#include "tensor/sparse_core.hpp"
 
 namespace agnn {
 
 namespace detail {
+
 struct SparseColSumsScratch;
+
+// The row loop of the dot kernels (sddmm, sddmm_unweighted, psi_agnn): `out`
+// takes `pattern`'s structure, and each edge t of row i gets
+// value(i, t, <x_i, y_{col(t)}>) through the sparse core's edge-lane dot,
+// its column index copied as the row is read. `value` reads any pattern
+// value it needs before the write, so `out` may be `pattern` itself.
+template <typename T, typename Value>
+void edge_dot_rows(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
+                   const DenseMatrix<T>& y, CsrMatrix<T>& out, Value value) {
+  index_t* out_cols = out.adopt_structure(pattern).data();
+  T* out_vals = out.vals_mutable().data();
+  const index_t* cols = pattern.col_idx().data();
+  const index_t k = x.cols();
+  with_sparse_core([&](auto core) {
+#pragma omp parallel for schedule(dynamic, 64)
+    for (index_t i = 0; i < pattern.rows(); ++i) {
+      core.edge_dots(x.data() + i * k, y.data(), k, cols, pattern.row_begin(i),
+                     pattern.row_end(i),
+                     [out_cols, out_vals, cols, value, i](index_t t, T dot) {
+                       out_cols[t] = cols[t];
+                       out_vals[t] = value(i, t, dot);
+                     });
+    }
+  });
+}
+
 }  // namespace detail
 
 // SDDMM (Table 2): out has the sparsity pattern of `pattern` and values
@@ -46,20 +74,10 @@ void sddmm(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   AGNN_ASSERT(pattern.rows() == x.rows(), "sddmm: row dimension mismatch");
   AGNN_ASSERT(pattern.cols() == y.rows(), "sddmm: col dimension mismatch");
   AGNN_ASSERT(x.cols() == y.cols(), "sddmm: inner dimension mismatch");
-  if (&out != &pattern) out = pattern;
-  const index_t k = x.cols();
-  auto v = out.vals_mutable();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < pattern.rows(); ++i) {
-    const T* xi = x.data() + i * k;
-    for (index_t t = pattern.row_begin(i); t < pattern.row_end(i); ++t) {
-      const index_t j = pattern.col_at(t);
-      const T* yj = y.data() + j * k;
-      T acc = T(0);
-      for (index_t g = 0; g < k; ++g) acc += xi[g] * yj[g];
-      v[static_cast<std::size_t>(t)] = pattern.val_at(t) * acc;
-    }
-  }
+  detail::edge_dot_rows(pattern, x, y, out,
+                        [pv = pattern.vals().data()](index_t, index_t t, T dot) {
+                          return pv[t] * dot;
+                        });
 }
 
 template <typename T>
@@ -86,20 +104,7 @@ void sddmm_unweighted(const CsrMatrix<T>& pattern, const DenseMatrix<T>& x,
   AGNN_ASSERT(pattern.rows() == x.rows(), "sddmm: row dimension mismatch");
   AGNN_ASSERT(pattern.cols() == y.rows(), "sddmm: col dimension mismatch");
   AGNN_ASSERT(x.cols() == y.cols(), "sddmm: inner dimension mismatch");
-  if (&out != &pattern) out = pattern;
-  const index_t k = x.cols();
-  auto v = out.vals_mutable();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < pattern.rows(); ++i) {
-    const T* xi = x.data() + i * k;
-    for (index_t t = pattern.row_begin(i); t < pattern.row_end(i); ++t) {
-      const index_t j = pattern.col_at(t);
-      const T* yj = y.data() + j * k;
-      T acc = T(0);
-      for (index_t g = 0; g < k; ++g) acc += xi[g] * yj[g];
-      v[static_cast<std::size_t>(t)] = acc;
-    }
-  }
+  detail::edge_dot_rows(pattern, x, y, out, [](index_t, index_t, T dot) { return dot; });
 }
 
 template <typename T>

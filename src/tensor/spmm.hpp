@@ -19,6 +19,7 @@
 #include "tensor/csr_matrix.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/semiring.hpp"
+#include "tensor/sparse_core.hpp"
 
 namespace agnn {
 
@@ -66,26 +67,28 @@ namespace detail {
 
 // The real-semiring SpMM row loop shared by spmm, spmm_accumulate and their
 // transposed forms: row i of `out` gets (or, with Accumulate, adds)
-// sum over a's edges e of val(e) * h_{col(e)}, in edge order. `val` says how
-// an edge's value is read: from `a` itself, or through a transposed
-// pattern's source_edges() map.
+// sum over a's edges e of val(e) * h_{col(e)}, in edge order, through the
+// sparse core's row-register aggregate. `val` says how an edge's value is
+// read: from `a` itself, or through a transposed pattern's source_edges()
+// map.
 template <bool Accumulate, typename T, typename Val>
 void spmm_rows(const CsrMatrix<T>& a, Val val, const DenseMatrix<T>& h,
                DenseMatrix<T>& out) {
   const index_t n = a.rows(), k = h.cols();
+  const index_t* cols = a.col_idx().data();
+  with_sparse_core([&](auto core) {
 #pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    T* oi = out.data() + i * k;
-    if constexpr (!Accumulate) {
-      for (index_t g = 0; g < k; ++g) oi[g] = T(0);
+    for (index_t i = 0; i < n; ++i) {
+      core.aggregate(h.data(), k, cols, a.row_begin(i), a.row_end(i), val,
+                     out.data() + i * k, Accumulate);
     }
-    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-      const index_t j = a.col_at(e);
-      const T av = val(e);
-      const T* hj = h.data() + j * k;
-      for (index_t g = 0; g < k; ++g) oi[g] += av * hj[g];
-    }
-  }
+  });
+}
+
+// A's own value at edge e.
+template <typename T>
+auto own_values(const CsrMatrix<T>& a) {
+  return [v = a.vals().data()](index_t e) { return v[e]; };
 }
 
 // M^T's value at position e of `at`, where M has the pattern `at` was
@@ -99,9 +102,7 @@ auto gathered_values(const CsrMatrix<T>& at, std::span<const T> m_vals,
                   ": `at` has no source_edges() map (build it with transposed_into)");
   AGNN_ASSERT(m_vals.size() == src.size(),
               std::string(kernel) + ": m_vals must hold one value per edge of `at`");
-  return [src, m_vals](index_t e) {
-    return m_vals[static_cast<std::size_t>(src[static_cast<std::size_t>(e)])];
-  };
+  return [src = src.data(), m = m_vals.data()](index_t e) { return m[src[e]]; };
 }
 
 }  // namespace detail
@@ -116,7 +117,7 @@ void spmm(const CsrMatrix<T>& a, const DenseMatrix<T>& h, DenseMatrix<T>& out) {
                                 sizeof(T), sizeof(index_t)));
   AGNN_ASSERT(a.cols() == h.rows(), "spmm: dimension mismatch");
   out.resize(a.rows(), h.cols());
-  detail::spmm_rows<false>(a, [&a](index_t e) { return a.val_at(e); }, h, out);
+  detail::spmm_rows<false>(a, detail::own_values(a), h, out);
 }
 
 template <typename T>
@@ -140,7 +141,7 @@ void spmm_accumulate(const CsrMatrix<T>& a, const DenseMatrix<T>& h,
   AGNN_ASSERT(a.cols() == h.rows(), "spmm_accumulate: dimension mismatch");
   AGNN_ASSERT(out.rows() == a.rows() && out.cols() == h.cols(),
               "spmm_accumulate: output shape mismatch");
-  detail::spmm_rows<true>(a, [&a](index_t e) { return a.val_at(e); }, h, out);
+  detail::spmm_rows<true>(a, detail::own_values(a), h, out);
 }
 
 // out = M^T * H for a matrix M with the pattern of A, given at = A^T built

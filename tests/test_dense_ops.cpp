@@ -289,7 +289,7 @@ template <typename T>
 std::vector<std::pair<std::string, detail::GemmKernel<T>>> gemm_twins() {
   std::vector<std::pair<std::string, detail::GemmKernel<T>>> twins{
       {"portable", &detail::gemm_portable<T>}};
-#if AGNN_GEMM_AVX2
+#if AGNN_AVX2_TWIN
   if (detail::have_avx2()) twins.emplace_back("avx2", &detail::gemm_avx2<T>);
 #endif
   return twins;
@@ -351,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, GemmOracle, ::testing::Values(1, 2, 3, 4),
 
 // Where the CPU has AVX2, the public functions run the AVX2 twin.
 TEST(GemmCore, PicksTheAvx2TwinWhereTheCpuHasIt) {
-#if AGNN_GEMM_AVX2
+#if AGNN_AVX2_TWIN
   if (detail::have_avx2()) {
     EXPECT_EQ(detail::gemm_kernel<float>(), &detail::gemm_avx2<float>);
     EXPECT_EQ(detail::gemm_kernel<double>(), &detail::gemm_avx2<double>);

@@ -353,18 +353,23 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- 2. steady-state allocation audit --------------------------------------
 // After two warm-up passes (per-thread scratch sized, outputs at capacity),
-// repeated invocations must not allocate at all. fused_gat_aggregate sizes
-// each thread's score buffer to the longest row when its parallel region
-// starts, so no buffer depends on which rows its thread happens to draw.
+// repeated invocations must not allocate at all. The fused aggregates size
+// each thread's score buffer to the longest row when their parallel region
+// starts, so no buffer depends on which rows its thread happens to draw,
+// and the dot kernels size their output to the pattern once per call.
 TEST(ScheduleSteadyState, RowParallelKernelsAllocateNothing) {
   const auto in = make_inputs(kFamilyStar);
-  DenseMatrix<double> spmm_out, mean_out, gat_out;
-  CsrMatrix<double> soft = in.a;
+  const std::vector<double> norms = row_l2_norms(in.h);
+  DenseMatrix<double> spmm_out, mean_out, gat_out, va_out;
+  CsrMatrix<double> soft = in.a, sampled, cosines;
   std::vector<double> sums;
   auto run_once = [&] {
     spmm(in.a, in.h, spmm_out);
     aggregate(in.a, in.h, Aggregation::kMean, mean_out);
     fused_gat_aggregate<double>(in.a, in.s1, in.s2, 0.2, in.x, gat_out);
+    fused_va_aggregate(in.a, in.h, in.x, va_out);
+    sddmm(in.a, in.h, in.h, sampled);
+    psi_agnn(in.a, in.h, std::span<const double>(norms), cosines);
     row_softmax_inplace(soft);
     sparse_row_sums(in.a, sums);
   };
