@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -55,6 +56,13 @@ class DistLocalEngine {
         n_(a_global.rows()),
         vr_(dist::block_range(n_, p_, world.rank())),
         model_(model) {
+    // The single-head DistDGL stand-in: it refuses more heads rather than
+    // run the first alone.
+    for (std::size_t l = 0; l < model.num_layers(); ++l) {
+      AGNN_ASSERT(model.layer(l).heads() == 1,
+                  "DistLocalEngine runs one attention head, layer " + std::to_string(l) +
+                      " has " + std::to_string(model.layer(l).heads()));
+    }
     build_partition(a_global);
     exchange_ghost_lists();
   }

@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/layer.hpp"
@@ -37,6 +38,10 @@ void local_layer_forward(const Layer<T>& layer, const CsrMatrix<T>& adj,
                          DenseMatrix<T>& out) {
   AGNN_TRACE_SCOPE("local.layer_forward", kPhase);
   AGNN_ASSERT(&out != &h, "local forward: out must not alias h");
+  // The single-head DistDGL stand-in: it refuses more heads rather than
+  // run the first alone.
+  AGNN_ASSERT(layer.heads() == 1, "local forward runs one attention head, the layer has " +
+                                      std::to_string(layer.heads()));
   const index_t n = adj.rows();
   const index_t k_in = h.cols();
   const index_t k_out = layer.out_features();

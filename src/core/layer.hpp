@@ -3,6 +3,7 @@
 //   VA    Z = (A ⊙ H H^T) H W                                    (Section 4.1)
 //   AGNN  Z = (A ⊙ (H H^T ⊘ n n^T)) H W
 //   GAT   Z = sm(A ⊙ LeakyReLU(s1 1^T + 1 s2^T)) H W,  s = (HW)[a1; a2]
+//         per attention head (W_h, a_h), heads concatenated or averaged
 //   GCN   Z = Â H W                                    (the C-GNN special case)
 //   GIN   Z = MLP((A + (1+eps) I) H),  MLP(X) = sigma_mlp(X W) W2
 //         (the MLP-as-Phi case of Section 4.4; the (1+eps) self-term is
@@ -24,6 +25,8 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/activations.hpp"
@@ -63,45 +66,73 @@ struct LayerCache {
   DenseMatrix<T> h_in;       // H^l (post-dropout if dropout is active)
   DenseMatrix<T> z;          // Z^l (pre-activation)
   DenseMatrix<T> dropout_mask;  // inverted-dropout multiplier (empty if off)
-  CsrMatrix<T> psi;          // Psi(A, H) — attention matrix
+  CsrMatrix<T> psi;          // Psi(A, H) — attention matrix (VA, AGNN)
   DenseMatrix<T> psi_h;      // the dW operand: Psi H (VA/AGNN), Â H (GCN),
                              // (A + (1+eps) I) H (GIN); unused by GAT
   // GIN-only:
   DenseMatrix<T> mlp_pre;    // X W1 (pre-activation of the MLP hidden layer)
   DenseMatrix<T> mlp_hidden; // sigma_mlp(X W1)
   // GAT-only:
-  DenseMatrix<T> h_proj;     // H' = H W
-  CsrMatrix<T> scores_pre;   // C_ij = s1_i + s2_j (pre-LeakyReLU)
-  std::vector<T> s1, s2;     // per-vertex attention halves
+  DenseMatrix<T> h_proj;     // H' = H W, head h in columns [h k, (h+1) k)
+  struct Head {
+    CsrMatrix<T> psi;         // Psi_h
+    CsrMatrix<T> scores_pre;  // C_ij = s1_i + s2_j (pre-LeakyReLU)
+    std::vector<T> s1, s2;    // per-vertex attention halves
+  };
+  std::vector<Head> heads;   // one per attention head
 };
 
 template <typename T>
 struct LayerGrads {
   DenseMatrix<T> d_w;        // dL/dW   (Y^l of the paper)
   DenseMatrix<T> d_w2;       // dL/dW2  (GIN's second MLP matrix; else empty)
-  std::vector<T> d_a;        // dL/da   (GAT only; empty otherwise)
+  std::vector<T> d_a;        // dL/da   (GAT only, heads in a's order; else empty)
   DenseMatrix<T> d_h_in;     // Gamma = dL/dH^l
 };
 
+// GAT runs `heads` attention heads of width k_out each. Head h owns the
+// columns [h k_out, (h+1) k_out) of W and of H' = H W and the block
+// [a1_h; a2_h] of a; the heads' outputs are concatenated (out_features() =
+// heads k_out) or, with `average_heads`, averaged. Every head runs the
+// one-head kernels on its column block, which at one head is the matrix
+// itself, so a one-head layer makes exactly the calls of the plain layer.
 template <typename T>
 class Layer {
  public:
   Layer(ModelKind kind, index_t k_in, index_t k_out, Activation act, Rng& rng,
         T attention_slope = T(0.2), Activation mlp_activation = Activation::kRelu,
-        T gin_epsilon = T(0))
+        T gin_epsilon = T(0), int heads = 1, bool average_heads = false)
       : kind_(kind),
         k_in_(k_in),
         k_out_(k_out),
+        heads_(heads),
+        average_heads_(average_heads),
         act_(act),
         attention_slope_(attention_slope),
         mlp_act_(mlp_activation),
         gin_epsilon_(gin_epsilon),
-        w_(k_in, k_out) {
-    w_.fill_glorot(rng);
+        w_(k_in, heads * k_out) {
+    AGNN_ASSERT(heads >= 1, "layer: need at least one attention head");
+    AGNN_ASSERT(heads == 1 || kind == ModelKind::kGAT,
+                "layer: only GAT has attention heads");
+    if (kind_ != ModelKind::kGAT) w_.fill_glorot(rng);
     if (kind_ == ModelKind::kGAT) {
-      a_.resize(static_cast<std::size_t>(2 * k_out));
-      const double limit = std::sqrt(6.0 / static_cast<double>(2 * k_out + 1));
-      for (auto& v : a_) v = static_cast<T>(rng.next_uniform(-limit, limit));
+      // Head by head, W_h (Glorot over k_in x k_out) then a_h: the draws of
+      // a one-head layer, repeated.
+      a_.resize(static_cast<std::size_t>(2 * heads * k_out));
+      const double w_limit = std::sqrt(6.0 / static_cast<double>(k_in + k_out));
+      const double a_limit = std::sqrt(6.0 / static_cast<double>(2 * k_out + 1));
+      for (int hd = 0; hd < heads; ++hd) {
+        for (index_t i = 0; i < k_in; ++i) {
+          for (index_t j = 0; j < k_out; ++j) {
+            w_(i, hd * k_out + j) = static_cast<T>(rng.next_uniform(-w_limit, w_limit));
+          }
+        }
+        for (T& v : std::span<T>(a_).subspan(static_cast<std::size_t>(2 * hd * k_out),
+                                             static_cast<std::size_t>(2 * k_out))) {
+          v = static_cast<T>(rng.next_uniform(-a_limit, a_limit));
+        }
+      }
     }
     if (kind_ == ModelKind::kGIN) {
       // MLP(X) = sigma_mlp(X W) W2, hidden width = k_out.
@@ -112,7 +143,10 @@ class Layer {
 
   ModelKind kind() const { return kind_; }
   index_t in_features() const { return k_in_; }
-  index_t out_features() const { return k_out_; }
+  index_t out_features() const { return average_heads_ ? k_out_ : heads_ * k_out_; }
+  int heads() const { return heads_; }
+  bool average_heads() const { return average_heads_; }
+  index_t head_features() const { return k_out_; }
   Activation activation() const { return act_; }
   T attention_slope() const { return attention_slope_; }
 
@@ -125,11 +159,36 @@ class Layer {
   Activation mlp_activation() const { return mlp_act_; }
   T gin_epsilon() const { return gin_epsilon_; }
 
-  // The attention matrix Psi(A, H) this layer would use — exposed for
-  // interpretability (which neighbors does each vertex attend to?) and for
-  // external GraphBLAS-style consumers. For GCN this is the (normalized)
-  // adjacency itself; for GIN the plain adjacency (sum aggregation).
-  CsrMatrix<T> attention_scores(const CsrMatrix<T>& adj, const DenseMatrix<T>& h) const {
+  // GAT head h's block of a matrix whose heads sit side by side, times
+  // alpha, in `buf`; at one head, `x` itself (no copy is made).
+  const DenseMatrix<T>& head_block(const DenseMatrix<T>& x, int hd, T alpha,
+                                   DenseMatrix<T>& buf) const {
+    if (heads_ == 1) return x;
+    copy_cols(x, hd * k_out_, k_out_, alpha, buf);
+    return buf;
+  }
+
+  // Head h's output z_h into its block of Z (concatenated heads), or its
+  // share of the mean.
+  void combine_head(const DenseMatrix<T>& z_h, int hd, DenseMatrix<T>& z) const {
+    axpy_cols(average_heads_ ? T(1) / static_cast<T>(heads_) : T(1), z_h,
+              average_heads_ ? 0 : hd * k_out_, z);
+  }
+
+  // Head h's [a1_h; a2_h].
+  std::pair<std::span<const T>, std::span<const T>> attention_halves(int hd) const {
+    const auto k = static_cast<std::size_t>(k_out_);
+    const auto a_h = std::span<const T>(a_).subspan(2 * k * static_cast<std::size_t>(hd), 2 * k);
+    return {a_h.first(k), a_h.subspan(k)};
+  }
+
+  // The attention matrix Psi(A, H) this layer would use (GAT: that of
+  // attention head `head`) — exposed for interpretability (which neighbors
+  // does each vertex attend to?) and for external GraphBLAS-style
+  // consumers. For GCN this is the (normalized) adjacency itself; for GIN
+  // the plain adjacency (sum aggregation).
+  CsrMatrix<T> attention_scores(const CsrMatrix<T>& adj, const DenseMatrix<T>& h,
+                                int head = 0) const {
     switch (kind_) {
       case ModelKind::kGCN:
       case ModelKind::kGIN:
@@ -139,13 +198,11 @@ class Layer {
       case ModelKind::kAGNN:
         return psi_agnn(adj, h);
       case ModelKind::kGAT: {
-        const DenseMatrix<T> hp = matmul(h, w_);
-        const std::span<const T> a_all(a_);
-        const std::vector<T> s1 =
-            matvec(hp, a_all.subspan(0, static_cast<std::size_t>(k_out_)));
-        const std::vector<T> s2 =
-            matvec(hp, a_all.subspan(static_cast<std::size_t>(k_out_)));
-        return psi_gat<T>(adj, s1, s2, attention_slope_).psi;
+        AGNN_ASSERT(head >= 0 && head < heads_, "attention_scores: no such head");
+        DenseMatrix<T> w_h;
+        const DenseMatrix<T> hp = matmul(h, head_block(w_, head, T(1), w_h));
+        const auto [a1, a2] = attention_halves(head);
+        return psi_gat<T>(adj, matvec(hp, a1), matvec(hp, a2), attention_slope_).psi;
       }
     }
     AGNN_ASSERT(false, "unknown model kind");
@@ -283,25 +340,39 @@ class Layer {
         return;
       }
       case ModelKind::kGAT: {
-        const std::span<const T> a_all(a_);
-        const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out_));
-        const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out_));
-        if (!cache) {
-          auto hp = ws.acquire_dense(n, k_out_);
-          matmul(h, w_, *hp);
-          auto s1 = ws.acquire_vec(n);
-          auto s2 = ws.acquire_vec(n);
-          matvec(*hp, a1, *s1);
-          matvec(*hp, a2, *s2);
-          fused_gat_aggregate(adj, s1.cspan(), s2.cspan(), attention_slope_, *hp, z);
-          return;
+        // One GEMM projects every head; head h then aggregates its block
+        // of H' into its block of Z, or adds its share of the mean.
+        PooledDense<T> hpb, hp_hb, z_hb;
+        if (!cache) hpb = ws.acquire_dense(n, w_.cols());
+        DenseMatrix<T>& hp = cache ? cache->h_proj : *hpb;
+        matmul(h, w_, hp);
+        if (cache) cache->heads.resize(static_cast<std::size_t>(heads_));
+        if (heads_ > 1) {
+          z.resize(n, out_features());
+          z.fill(T(0));
+          hp_hb = ws.acquire_dense(n, k_out_);
+          z_hb = ws.acquire_dense(n, k_out_);
         }
-        matmul(h, w_, cache->h_proj);
-        matvec(cache->h_proj, a1, cache->s1);
-        matvec(cache->h_proj, a2, cache->s2);
-        psi_gat<T>(adj, cache->s1, cache->s2, attention_slope_,
-                   cache->scores_pre, cache->psi);
-        spmm(cache->psi, cache->h_proj, z);
+        for (int hd = 0; hd < heads_; ++hd) {
+          const DenseMatrix<T>& hp_h = head_block(hp, hd, T(1), hp_hb.get());
+          DenseMatrix<T>& z_h = heads_ == 1 ? z : *z_hb;
+          const auto [a1, a2] = attention_halves(hd);
+          if (!cache) {
+            auto s1 = ws.acquire_vec(n);
+            auto s2 = ws.acquire_vec(n);
+            matvec(hp_h, a1, *s1);
+            matvec(hp_h, a2, *s2);
+            fused_gat_aggregate(adj, s1.cspan(), s2.cspan(), attention_slope_, hp_h,
+                                z_h);
+          } else {
+            auto& c = cache->heads[static_cast<std::size_t>(hd)];
+            matvec(hp_h, a1, c.s1);
+            matvec(hp_h, a2, c.s2);
+            psi_gat<T>(adj, c.s1, c.s2, attention_slope_, c.scores_pre, c.psi);
+            spmm(c.psi, hp_h, z_h);
+          }
+          if (heads_ > 1) combine_head(z_h, hd, z);
+        }
         return;
       }
     }
@@ -401,65 +472,83 @@ class Layer {
     spmm_accumulate_transposed(adj_t, cache.psi.vals(), *m, gamma);
   }
 
-  // GAT backward:
-  //   dH' = Psi^T G + ds1 a1^T + ds2 a2^T,
-  //   dPsi = A-sampled G H'^T, dE = softmax-Jacobian(dPsi),
+  // GAT backward, per head h with G_h its block of G (concatenated heads)
+  // or G / heads (averaged) and H'_h its block of H':
+  //   dH'_h = Psi_h^T G_h + ds1 a1_h^T + ds2 a2_h^T,
+  //   dPsi = A-sampled G_h H'_h^T, dE = softmax-Jacobian(dPsi),
   //   dC = dE ⊙ A ⊙ LeakyReLU'(C), ds1 = row-sums(dC), ds2 = col-sums(dC),
-  //   da = [H'^T ds1; H'^T ds2], dW = H^T dH', Gamma = dH' W^T.
+  //   da_h = [H'_h^T ds1; H'_h^T ds2];
+  // then, over every head's columns at once, dW = H^T dH', Gamma = dH' W^T.
   void backward_gat(const CsrMatrix<T>& adj, const CsrMatrix<T>& adj_t,
                     const LayerCache<T>& cache, const DenseMatrix<T>& g,
                     Workspace<T>& ws, LayerGrads<T>& out) const {
     const DenseMatrix<T>& h = cache.h_in;
-    const DenseMatrix<T>& hp = cache.h_proj;
-    const CsrMatrix<T>& s = cache.psi;
-
-    // dPsi sampled on the adjacency pattern (pattern of s, values unused).
-    auto d_psi = ws.acquire_csr(s.rows(), s.cols(), s.nnz());
-    sddmm_unweighted(s, g, hp, *d_psi);
-    // dE, then dC in place: dC = dE ⊙ A ⊙ LeakyReLU'(C) — the A values were
-    // folded into E during forward, so they reappear as a factor here
-    // (1 for binary adjacency).
-    auto d_c = ws.acquire_csr(s.rows(), s.cols(), s.nnz());
-    row_softmax_backward(s, *d_psi, *d_c);
-    {
-      auto v = d_c->vals_mutable();
-      const auto c = cache.scores_pre.vals();
-      const auto av = adj.vals();
-#pragma omp parallel for schedule(static)
-      for (index_t e = 0; e < d_c->nnz(); ++e) {
-        const T ce = c[static_cast<std::size_t>(e)];
-        v[static_cast<std::size_t>(e)] *=
-            av[static_cast<std::size_t>(e)] * (ce > T(0) ? T(1) : attention_slope_);
-      }
+    const index_t n = g.rows();
+    out.d_a.resize(a_.size());
+    auto d_hp = ws.acquire_dense(n, w_.cols());
+    PooledDense<T> g_hb, hp_hb, d_hp_hb;
+    if (heads_ > 1) {
+      d_hp->fill(T(0));
+      g_hb = ws.acquire_dense(n, k_out_);
+      hp_hb = ws.acquire_dense(n, k_out_);
+      d_hp_hb = ws.acquire_dense(n, k_out_);
     }
-    auto ds1 = ws.acquire_vec(s.rows());
-    sparse_row_sums(*d_c, *ds1);
-    auto ds2 = ws.acquire_vec(s.cols());
-    sparse_col_sums(*d_c, *ds2);
+    const T g_scale = average_heads_ ? T(1) / static_cast<T>(heads_) : T(1);
+    for (int hd = 0; hd < heads_; ++hd) {
+      const DenseMatrix<T>& g_h =
+          head_block(g, average_heads_ ? 0 : hd, g_scale, g_hb.get());
+      const DenseMatrix<T>& hp = head_block(cache.h_proj, hd, T(1), hp_hb.get());
+      DenseMatrix<T>& d_hp_h = heads_ == 1 ? *d_hp : *d_hp_hb;
+      const auto& c_h = cache.heads[static_cast<std::size_t>(hd)];
+      const CsrMatrix<T>& s = c_h.psi;
 
-    auto d_hp = ws.acquire_dense(g.rows(), k_out_);
-    spmm_transposed(adj_t, s.vals(), g, *d_hp);
-    const std::span<const T> a_all(a_);
-    const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out_));
-    const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out_));
-    add_outer_inplace(*d_hp, ds1.cspan(), a1);
-    add_outer_inplace(*d_hp, ds2.cspan(), a2);
+      // dPsi sampled on the adjacency pattern (pattern of s, values unused).
+      auto d_psi = ws.acquire_csr(s.rows(), s.cols(), s.nnz());
+      sddmm_unweighted(s, g_h, hp, *d_psi);
+      // dE, then dC in place: dC = dE ⊙ A ⊙ LeakyReLU'(C) — the A values
+      // were folded into E during forward, so they reappear as a factor
+      // here (1 for binary adjacency).
+      auto d_c = ws.acquire_csr(s.rows(), s.cols(), s.nnz());
+      row_softmax_backward(s, *d_psi, *d_c);
+      {
+        auto v = d_c->vals_mutable();
+        const auto c = c_h.scores_pre.vals();
+        const auto av = adj.vals();
+#pragma omp parallel for schedule(static)
+        for (index_t e = 0; e < d_c->nnz(); ++e) {
+          const T ce = c[static_cast<std::size_t>(e)];
+          v[static_cast<std::size_t>(e)] *=
+              av[static_cast<std::size_t>(e)] * (ce > T(0) ? T(1) : attention_slope_);
+        }
+      }
+      auto ds1 = ws.acquire_vec(s.rows());
+      sparse_row_sums(*d_c, *ds1);
+      auto ds2 = ws.acquire_vec(s.cols());
+      sparse_col_sums(*d_c, *ds2);
 
-    out.d_a.resize(static_cast<std::size_t>(2 * k_out_));
-    auto da1 = ws.acquire_vec(k_out_);
-    matvec_tn(hp, ds1.cspan(), *da1);
-    auto da2 = ws.acquire_vec(k_out_);
-    matvec_tn(hp, ds2.cspan(), *da2);
-    std::copy(da1->begin(), da1->end(), out.d_a.begin());
-    std::copy(da2->begin(), da2->end(), out.d_a.begin() + k_out_);
+      spmm_transposed(adj_t, s.vals(), g_h, d_hp_h);
+      const auto [a1, a2] = attention_halves(hd);
+      add_outer_inplace(d_hp_h, ds1.cspan(), a1);
+      add_outer_inplace(d_hp_h, ds2.cspan(), a2);
 
+      auto da1 = ws.acquire_vec(k_out_);
+      matvec_tn(hp, ds1.cspan(), *da1);
+      auto da2 = ws.acquire_vec(k_out_);
+      matvec_tn(hp, ds2.cspan(), *da2);
+      const auto da = out.d_a.begin() + 2 * hd * k_out_;
+      std::copy(da1->begin(), da1->end(), da);
+      std::copy(da2->begin(), da2->end(), da + k_out_);
+      if (heads_ > 1) axpy_cols(T(1), d_hp_h, hd * k_out_, *d_hp);
+    }
     matmul_tn(h, *d_hp, out.d_w);
     matmul_nt(*d_hp, w_, out.d_h_in);
   }
 
   ModelKind kind_;
   index_t k_in_;
-  index_t k_out_;
+  index_t k_out_;  // per attention head
+  int heads_;
+  bool average_heads_;
   Activation act_;
   T attention_slope_;
   Activation mlp_act_;

@@ -15,6 +15,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/layer.hpp"
@@ -28,10 +30,12 @@ namespace agnn {
 struct GnnConfig {
   ModelKind kind = ModelKind::kGAT;
   index_t in_features = 16;
-  std::vector<index_t> layer_widths = {16, 16};  // output width per layer
+  std::vector<index_t> layer_widths = {16, 16};  // output width per layer (per head)
   Activation hidden_activation = Activation::kRelu;
   Activation output_activation = Activation::kIdentity;
   double attention_slope = 0.2;  // LeakyReLU slope inside GAT attention
+  int heads = 1;      // GAT attention heads of every hidden layer, concatenated
+  int out_heads = 1;  // GAT attention heads of the output layer, averaged
   Activation mlp_activation = Activation::kRelu;  // GIN's in-MLP non-linearity
   double gin_epsilon = 0.0;      // GIN's (1 + eps) self-loop weight
   std::uint64_t seed = 42;
@@ -42,6 +46,14 @@ class GnnModel {
  public:
   explicit GnnModel(const GnnConfig& config) : config_(config) {
     AGNN_ASSERT(!config.layer_widths.empty(), "model needs at least one layer");
+    for (const auto& [field, count] : {std::pair{"heads", config.heads},
+                                       std::pair{"out_heads", config.out_heads}}) {
+      AGNN_ASSERT(count >= 1, std::string("GnnConfig::") + field + " must be >= 1, got " +
+                                  std::to_string(count));
+      AGNN_ASSERT(count == 1 || config.kind == ModelKind::kGAT,
+                  std::string("GnnConfig::") + field + " must be 1 for " +
+                      to_string(config.kind) + ": only GAT has attention heads");
+    }
     Rng rng(config.seed);
     index_t k_in = config.in_features;
     for (std::size_t l = 0; l < config.layer_widths.size(); ++l) {
@@ -50,8 +62,9 @@ class GnnModel {
       layers_.emplace_back(config.kind, k_in, config.layer_widths[l], act, rng,
                            static_cast<T>(config.attention_slope),
                            config.mlp_activation,
-                           static_cast<T>(config.gin_epsilon));
-      k_in = config.layer_widths[l];
+                           static_cast<T>(config.gin_epsilon),
+                           last ? config.out_heads : config.heads, last);
+      k_in = layers_.back().out_features();
     }
   }
 

@@ -3,11 +3,12 @@
 // load; loading reconstructs an identical model (bit-exact parameters).
 //
 // Model format (little-endian):
-//   8 bytes  magic "AGNNMDL1"
+//   8 bytes  magic "AGNNMDL2"
 //   i64      model kind, in_features, #layers
 //   i64      hidden act, output act, mlp act
 //   f64      attention_slope, gin_epsilon
-//   per layer: i64 width; i64 w_size, w data; i64 a_size, a data;
+//   i64      heads, out_heads                  (absent in "AGNNMDL1": 1, 1)
+//   per layer: i64 width (per head); i64 w_size, w data; i64 a_size, a data;
 //              i64 w2_size, w2 data                         (all doubles)
 //
 // Training checkpoints (the recovery loop's persistence format) wrap a
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,7 +36,8 @@ namespace agnn {
 
 namespace detail {
 
-constexpr char kModelMagic[8] = {'A', 'G', 'N', 'N', 'M', 'D', 'L', '1'};
+constexpr char kModelMagic[8] = {'A', 'G', 'N', 'N', 'M', 'D', 'L', '2'};
+constexpr char kModelMagicV1[8] = {'A', 'G', 'N', 'N', 'M', 'D', 'L', '1'};
 constexpr char kCheckpointMagic[8] = {'A', 'G', 'N', 'N', 'C', 'K', 'P', '1'};
 
 template <typename T>
@@ -89,9 +92,11 @@ void save_model(std::ostream& out, const GnnModel<T>& model) {
   detail::write_pod<std::int64_t>(out, static_cast<std::int64_t>(cfg.mlp_activation));
   detail::write_pod<double>(out, cfg.attention_slope);
   detail::write_pod<double>(out, cfg.gin_epsilon);
+  detail::write_pod<std::int64_t>(out, cfg.heads);
+  detail::write_pod<std::int64_t>(out, cfg.out_heads);
   for (std::size_t l = 0; l < model.num_layers(); ++l) {
     const Layer<T>& layer = model.layer(l);
-    detail::write_pod<std::int64_t>(out, layer.out_features());
+    detail::write_pod<std::int64_t>(out, layer.head_features());
     detail::write_buffer<T>(out, layer.weights().flat());
     detail::write_buffer<T>(out, layer.attention_params());
     detail::write_buffer<T>(out, layer.weights2().flat());
@@ -110,7 +115,8 @@ template <typename T>
 GnnModel<T> load_model(std::istream& in, const std::string& what) {
   char magic[8];
   in.read(magic, sizeof(magic));
-  AGNN_ASSERT(in.good() && std::memcmp(magic, detail::kModelMagic, 8) == 0,
+  const bool v1 = in.good() && std::memcmp(magic, detail::kModelMagicV1, 8) == 0;
+  AGNN_ASSERT(in.good() && (v1 || std::memcmp(magic, detail::kModelMagic, 8) == 0),
               "bad magic in model file: " + what);
   GnnConfig cfg;
   cfg.kind = static_cast<ModelKind>(detail::read_pod<std::int64_t>(in));
@@ -125,6 +131,15 @@ GnnModel<T> load_model(std::istream& in, const std::string& what) {
   cfg.mlp_activation = static_cast<Activation>(detail::read_pod<std::int64_t>(in));
   cfg.attention_slope = detail::read_pod<double>(in);
   cfg.gin_epsilon = detail::read_pod<double>(in);
+  std::int64_t heads = 1, out_heads = 1;
+  if (!v1) {
+    heads = detail::read_pod<std::int64_t>(in);
+    out_heads = detail::read_pod<std::int64_t>(in);
+  }
+  for (const std::int64_t count : {heads, out_heads}) {
+    AGNN_ASSERT(count >= 1 && (count == 1 || cfg.kind == ModelKind::kGAT),
+                "model file: bad head count");
+  }
 
   // First pass cannot construct the model until widths are known; read the
   // per-layer blocks into a staging structure.
@@ -139,12 +154,19 @@ GnnModel<T> load_model(std::istream& in, const std::string& what) {
     LayerBlob blob;
     blob.width = detail::read_pod<std::int64_t>(in);
     AGNN_ASSERT(blob.width > 0, "model file: bad layer width");
+    const bool last = l + 1 == layers;
+    const std::int64_t layer_heads = last ? out_heads : heads;
+    // W is k_in x (heads width) and GAT's a holds 2 heads width values;
+    // the bytes left bound every count the file supplies before its use.
     const auto width = static_cast<std::uint64_t>(blob.width);
-    detail::check_doubles_left(in, static_cast<std::uint64_t>(k_in), width);
-    blob.w.resize(static_cast<std::size_t>(k_in * blob.width));
+    detail::check_doubles_left(in, static_cast<std::uint64_t>(layer_heads), width);
+    const std::uint64_t w_cols = static_cast<std::uint64_t>(layer_heads) * width;
+    detail::check_doubles_left(in, static_cast<std::uint64_t>(k_in), w_cols);
+    blob.w.resize(static_cast<std::size_t>(static_cast<std::uint64_t>(k_in) * w_cols));
     detail::read_buffer<T>(in, blob.w);
-    const auto a_size = (cfg.kind == ModelKind::kGAT) ? 2 * blob.width : 0;
-    blob.a.resize(static_cast<std::size_t>(a_size));
+    const bool gat = cfg.kind == ModelKind::kGAT;
+    if (gat) detail::check_doubles_left(in, 2, w_cols);
+    blob.a.resize(static_cast<std::size_t>(gat ? 2 * w_cols : 0));
     detail::read_buffer<T>(in, blob.a);
     const bool gin = cfg.kind == ModelKind::kGIN;
     if (gin) detail::check_doubles_left(in, width, width);
@@ -152,9 +174,14 @@ GnnModel<T> load_model(std::istream& in, const std::string& what) {
     blob.w2.resize(static_cast<std::size_t>(w2_size));
     detail::read_buffer<T>(in, blob.w2);
     cfg.layer_widths.push_back(blob.width);
-    k_in = blob.width;
+    k_in = last ? blob.width : static_cast<index_t>(w_cols);
     blobs.push_back(std::move(blob));
   }
+  AGNN_ASSERT(heads <= std::numeric_limits<int>::max() &&
+                  out_heads <= std::numeric_limits<int>::max(),
+              "model file: bad head count");
+  cfg.heads = static_cast<int>(heads);
+  cfg.out_heads = static_cast<int>(out_heads);
   GnnModel<T> model(cfg);
   for (std::size_t l = 0; l < blobs.size(); ++l) {
     Layer<T>& layer = model.layer(l);
@@ -192,7 +219,7 @@ void copy_params(const GnnModel<T>& src, GnnModel<T>& dst) {
   for (std::size_t l = 0; l < src.num_layers(); ++l) {
     const Layer<T>& a = src.layer(l);
     Layer<T>& b = dst.layer(l);
-    AGNN_ASSERT(a.out_features() == b.out_features(),
+    AGNN_ASSERT(a.out_features() == b.out_features() && a.heads() == b.heads(),
                 "checkpoint: layer width mismatch");
     std::copy(a.weights().flat().begin(), a.weights().flat().end(),
               b.weights().data());

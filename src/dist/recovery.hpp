@@ -35,7 +35,6 @@
 #include "comm/communicator.hpp"
 #include "comm/fault_injection.hpp"
 #include "core/model.hpp"
-#include "core/multihead_gat.hpp"
 #include "core/optimizer.hpp"
 #include "core/serialization.hpp"
 #include "obs/trace.hpp"
@@ -57,8 +56,7 @@ struct RecoveryReport {
   int checkpoints = 0;
 };
 
-// Flatten/restore the full parameter set of a model replica. Overloaded per
-// model family so the recovery loop is generic over all engines.
+// Flatten/restore the full parameter set of a model replica.
 template <typename T>
 void collect_params(const GnnModel<T>& m, std::vector<T>& out) {
   out.clear();
@@ -91,40 +89,9 @@ void restore_params(GnnModel<T>& m, const std::vector<T>& blob) {
   AGNN_ASSERT(pos == blob.size(), "restore: oversized blob");
 }
 
-template <typename T>
-void collect_params(const MultiHeadGat<T>& m, std::vector<T>& out) {
-  out.clear();
-  for (std::size_t l = 0; l < m.num_layers(); ++l) {
-    for (int h = 0; h < m.layer(l).num_heads(); ++h) {
-      const GatHeadParams<T>& p = m.layer(l).head(h);
-      out.insert(out.end(), p.w.flat().begin(), p.w.flat().end());
-      out.insert(out.end(), p.a.begin(), p.a.end());
-    }
-  }
-}
-
-template <typename T>
-void restore_params(MultiHeadGat<T>& m, const std::vector<T>& blob) {
-  std::size_t pos = 0;
-  const auto take = [&](std::span<T> dst) {
-    AGNN_ASSERT(pos + dst.size() <= blob.size(), "restore: truncated blob");
-    std::copy_n(blob.begin() + static_cast<std::ptrdiff_t>(pos), dst.size(),
-                dst.begin());
-    pos += dst.size();
-  };
-  for (std::size_t l = 0; l < m.num_layers(); ++l) {
-    for (int h = 0; h < m.layer(l).num_heads(); ++h) {
-      GatHeadParams<T>& p = m.layer(l).head(h);
-      take(p.w.flat());
-      take(std::span<T>(p.a));
-    }
-  }
-  AGNN_ASSERT(pos == blob.size(), "restore: oversized blob");
-}
-
-template <typename T, typename Engine, typename Model>
+template <typename T, typename Engine>
 RecoveryReport<T> train_with_recovery(comm::Communicator& world, Engine& engine,
-                                      Model& model, Optimizer<T>& opt,
+                                      GnnModel<T>& model, Optimizer<T>& opt,
                                       const DenseMatrix<T>& x,
                                       std::span<const index_t> labels,
                                       int epochs,
@@ -145,17 +112,9 @@ RecoveryReport<T> train_with_recovery(comm::Communicator& world, Engine& engine,
     ckpt_epoch = completed;
     ++report.checkpoints;
     if (!opts.checkpoint_path.empty() && world.global_rank() == 0) {
-      // Persistence is GnnModel-only (the versioned checkpoint format);
-      // multi-head replicas recover from the in-memory snapshot alone.
-      if constexpr (requires {
-                      save_checkpoint(opts.checkpoint_path, model,
-                                      std::int64_t{0},
-                                      std::span<const double>{});
-                    }) {
-        save_checkpoint(opts.checkpoint_path, model,
-                        static_cast<std::int64_t>(completed),
-                        std::span<const double>(ckpt_opt));
-      }
+      save_checkpoint(opts.checkpoint_path, model,
+                      static_cast<std::int64_t>(completed),
+                      std::span<const double>(ckpt_opt));
     }
   };
   take_checkpoint(0);  // epoch-0 snapshot: the loop can always roll back

@@ -465,6 +465,33 @@ void add_outer_inplace(DenseMatrix<T>& c, std::span<const T> x, std::span<const 
   }
 }
 
+// OUT = alpha * A[:, c0 : c0 + k] and C[:, c0 : c0 + X.cols()] += alpha * X:
+// one attention head's block of a matrix whose heads sit side by side.
+template <typename T>
+void copy_cols(const DenseMatrix<T>& a, index_t c0, index_t k, T alpha,
+               DenseMatrix<T>& out) {
+  AGNN_ASSERT(c0 >= 0 && k >= 0 && c0 + k <= a.cols(), "copy_cols: column range");
+  AGNN_ASSERT(&out != &a, "copy_cols: out must not alias the source");
+  out.resize(a.rows(), k);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const T* ai = a.data() + i * a.cols() + c0;
+    T* oi = out.data() + i * k;
+    for (index_t j = 0; j < k; ++j) oi[j] = alpha * ai[j];
+  }
+}
+
+template <typename T>
+void axpy_cols(T alpha, const DenseMatrix<T>& x, index_t c0, DenseMatrix<T>& c) {
+  AGNN_ASSERT(x.rows() == c.rows() && c0 >= 0 && c0 + x.cols() <= c.cols(),
+              "axpy_cols: shape mismatch");
+  const index_t k = x.cols();
+  for (index_t i = 0; i < c.rows(); ++i) {
+    const T* xi = x.data() + i * k;
+    T* ci = c.data() + i * c.cols() + c0;
+    for (index_t j = 0; j < k; ++j) ci[j] += alpha * xi[j];
+  }
+}
+
 // OUT[i, :] = A[rows[i], :] — the feature-gather of the serving path
 // (ego-network feature assembly and the between-layer compaction of the
 // block-diagonal batched forward). Forward-only: gathers have no backward

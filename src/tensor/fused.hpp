@@ -117,8 +117,10 @@ void psi_gat(const CsrMatrix<T>& a, std::span<const T> s1, std::span<const T> s2
   AGNN_ASSERT(static_cast<index_t>(s1.size()) == a.rows(), "psi_gat: s1 size");
   AGNN_ASSERT(static_cast<index_t>(s2.size()) == a.cols(), "psi_gat: s2 size");
   AGNN_ASSERT(&scores_pre != &psi, "psi_gat: outputs must be distinct");
-  scores_pre = a;
-  psi = a;
+  // Both outputs take A's structure without copying it; the row loop
+  // copies each row's column indices as it writes the row's values.
+  index_t* pre_cols = scores_pre.adopt_structure(a).data();
+  index_t* psi_cols = psi.adopt_structure(a).data();
   auto pre = scores_pre.vals_mutable();
   auto act = psi.vals_mutable();
 #pragma omp parallel for schedule(dynamic, 64)
@@ -126,6 +128,7 @@ void psi_gat(const CsrMatrix<T>& a, std::span<const T> s1, std::span<const T> s2
     const T s1i = s1[static_cast<std::size_t>(i)];
     for (index_t t = a.row_begin(i); t < a.row_end(i); ++t) {
       const T c = s1i + s2[static_cast<std::size_t>(a.col_at(t))];
+      pre_cols[t] = psi_cols[t] = a.col_at(t);
       pre[static_cast<std::size_t>(t)] = c;
       const T lrelu = c > T(0) ? c : leaky_slope * c;
       act[static_cast<std::size_t>(t)] = a.val_at(t) * lrelu;

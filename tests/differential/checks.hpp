@@ -9,10 +9,11 @@
 //              bitwise, with the out-buffer pre-dirtied (NaN sentinel,
 //              wrong shape) to exercise the storage-reuse path.
 //   engines  — the distributed engine under the 1.5D and 1D layouts and
-//              under the scenario's drawn policy, dist_multihead and
-//              dist_local_engine against the sequential model /
-//              local_engine on forward, and a short training run (which
-//              drives backward) comparing losses and final weights.
+//              under the scenario's drawn policy (there also with GAT
+//              attention heads), and dist_local_engine, against the
+//              sequential model / local_engine on forward, and a short
+//              training run (which drives backward) comparing losses and
+//              final weights.
 //
 // Checks never assert: they append Failure records, so the fuzz driver can
 // report every divergence for a seed and keep going.
@@ -32,10 +33,8 @@
 #include "comm/communicator.hpp"
 #include "comm/fault_injection.hpp"
 #include "core/model.hpp"
-#include "core/multihead_gat.hpp"
 #include "differential/adversarial.hpp"
 #include "dist/dist_engine.hpp"
-#include "dist/dist_multihead.hpp"
 #include "dist/recovery.hpp"
 #include "graph/graph.hpp"
 #include "serve/batch_forward.hpp"
@@ -532,16 +531,16 @@ inline void check_engines(const Scenario& sc, Failures& out) {
       },
       sc.ranks_policy);
 
-  // Multi-head GAT engine against the sequential multi-head model. The
-  // attention semantics need the raw adjacency (not the GCN normalization).
+  // GAT with attention heads, under the drawn policy, against the
+  // sequential model. The attention semantics need the raw adjacency (not
+  // the GCN normalization).
   {
-    typename MultiHeadGat<double>::Config mcfg;
+    GnnConfig mcfg;
+    mcfg.kind = ModelKind::kGAT;
     mcfg.in_features = sc.k;
-    mcfg.head_features = 3;
+    mcfg.layer_widths.assign(static_cast<std::size_t>(sc.layers) + 1, 3);
     mcfg.heads = 1 + static_cast<int>(sc.seed % 3);
-    mcfg.out_features = 3;
     mcfg.out_heads = 1 + static_cast<int>(sc.seed % 2);
-    mcfg.hidden_layers = sc.layers;
     mcfg.hidden_activation = Activation::kTanh;
     mcfg.seed = 4096;
     std::vector<index_t> mh_labels(static_cast<std::size_t>(sc.n));
@@ -550,47 +549,48 @@ inline void check_engines(const Scenario& sc, Failures& out) {
       for (auto& l : mh_labels) l = static_cast<index_t>(rng.next_bounded(3));
     }
 
-    MultiHeadGat<double> mh_seq(mcfg);
+    GnnModel<double> mh_seq(mcfg);
     const auto mh_ref = mh_seq.infer(g, x);
-    MultiHeadGat<double> mh_seq_train(mcfg);
-    SgdOptimizer<double> mh_seq_opt(0.05);
+    GnnModel<double> mh_seq_train(mcfg);
+    const CsrMatrix<double> g_t = g.transposed();
+    Trainer<double> mh_trainer(mh_seq_train,
+                               std::make_unique<SgdOptimizer<double>>(0.05));
     std::vector<double> mh_losses;
     for (int s = 0; s < 2; ++s) {
-      std::vector<MultiHeadCache<double>> caches;
-      const auto hh = mh_seq_train.forward(g, x, caches);
-      const auto loss = softmax_cross_entropy<double>(hh, mh_labels);
-      mh_losses.push_back(loss.value);
-      mh_seq_train.apply_gradients(mh_seq_train.backward(g, caches, loss.grad),
-                                   mh_seq_opt);
+      mh_losses.push_back(mh_trainer.step(g, g_t, x, mh_labels).loss);
     }
 
-    comm::SpmdRuntime::run(sc.ranks_grid, [&](comm::Communicator& world) {
-      MultiHeadGat<double> model(mcfg);
-      dist::DistMultiHeadGatEngine<double> engine(world, g, model);
+    comm::SpmdRuntime::run(sc.ranks_policy, [&](comm::Communicator& world) {
+      GnnModel<double> model(mcfg);
+      dist::DistEngine<double> engine(world, g, model, policy);
       Failures local;
-      compare_dense("dist_multihead_infer", engine.infer(x), mh_ref, kTol, local);
+      compare_dense("dist_gat_heads_infer", engine.infer(x), mh_ref, kTol, local);
       SgdOptimizer<double> opt(0.05);
       for (int s = 0; s < 2; ++s) {
         const auto res = engine.train_step(x, mh_labels, opt);
         if (!near(res.loss, mh_losses[static_cast<std::size_t>(s)], kTol)) {
-          local.push_back({"dist_multihead_train_loss",
+          local.push_back({"dist_gat_heads_train_loss",
                            "step " + std::to_string(s) + ": " +
                                std::to_string(res.loss) + " vs " +
                                std::to_string(mh_losses[static_cast<std::size_t>(s)])});
         }
       }
       for (std::size_t l = 0; l < model.num_layers(); ++l) {
-        for (int hd = 0; hd < model.layer(l).num_heads(); ++hd) {
-          const auto& w_dist = model.layer(l).head(hd).w;
-          const auto& w_seq = mh_seq_train.layer(l).head(hd).w;
-          for (index_t i = 0; i < w_seq.size(); ++i) {
-            if (!near(w_dist.data()[i], w_seq.data()[i], kTol)) {
-              local.push_back({"dist_multihead_train_weights",
-                               "layer " + std::to_string(l) + " head " +
-                                   std::to_string(hd)});
-              break;
-            }
-          }
+        const auto& w_dist = model.layer(l).weights();
+        const auto& w_seq = mh_seq_train.layer(l).weights();
+        const auto& a_dist = model.layer(l).attention_params();
+        const auto& a_seq = mh_seq_train.layer(l).attention_params();
+        bool same = true;
+        for (index_t i = 0; i < w_seq.size(); ++i) {
+          same = same && near(w_dist.data()[i], w_seq.data()[i], kTol);
+        }
+        for (std::size_t i = 0; i < a_seq.size(); ++i) {
+          same = same && near(a_dist[i], a_seq[i], kTol);
+        }
+        if (!same) {
+          local.push_back({"dist_gat_heads_train_params",
+                           "layer " + std::to_string(l) + " under " +
+                               dist::to_string(policy)});
         }
       }
       if (world.rank() == 0) {

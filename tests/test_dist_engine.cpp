@@ -10,6 +10,7 @@
 // SummaEngineSweep: 2D/3D), so each keeps its test name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -447,6 +448,141 @@ TEST(EngineFactory, EnvironmentKnobSelectsTheFamilyMember) {
     auto engine = make_dist_engine_from_env(world, adj, model);
     EXPECT_EQ(engine->policy(), DistPolicy::k1_5D);
   });
+}
+
+// ---- GAT attention heads: every policy -----------------------------------------
+
+struct HeadsCase {
+  DistPolicy policy;
+  int ranks;
+  int heads;  // per hidden layer; the output layer averages two
+  int hidden_layers;
+  index_t n;
+};
+
+GnnConfig heads_config(const HeadsCase& p) {
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGAT;
+  cfg.in_features = 5;
+  cfg.layer_widths.assign(static_cast<std::size_t>(p.hidden_layers) + 1, 3);
+  cfg.heads = p.heads;
+  cfg.out_heads = 2;
+  cfg.hidden_activation = Activation::kTanh;
+  cfg.seed = 4096;
+  return cfg;
+}
+
+class DistEngineHeadsSweep : public ::testing::TestWithParam<HeadsCase> {};
+
+TEST_P(DistEngineHeadsSweep, InferenceMatchesSequential) {
+  const auto& p = GetParam();
+  const auto g = testing::small_graph<double>(p.n, 5 * p.n, 91 + p.n);
+  const auto x = testing::random_dense<double>(p.n, 5, 93);
+  GnnModel<double> seq(heads_config(p));
+  const auto ref = seq.infer(g.adj, x);
+
+  comm::SpmdRuntime::run(p.ranks, [&](comm::Communicator& world) {
+    GnnModel<double> model(heads_config(p));
+    DistEngine<double> engine(world, g.adj, model, p.policy);
+    const auto out = engine.infer(x);
+    ASSERT_EQ(out.rows(), ref.rows());
+    ASSERT_EQ(out.cols(), ref.cols());
+    for (index_t i = 0; i < ref.size(); ++i) {
+      ASSERT_NEAR(out.data()[i], ref.data()[i], 1e-8)
+          << "rank " << world.rank() << " elem " << i;
+    }
+  });
+}
+
+TEST_P(DistEngineHeadsSweep, TrainingMatchesSequential) {
+  const auto& p = GetParam();
+  const auto g = testing::small_graph<double>(p.n, 5 * p.n, 97 + p.n);
+  const CsrMatrix<double> adj_t = g.adj.transposed();
+  const auto x = testing::random_dense<double>(p.n, 5, 99);
+  std::vector<index_t> labels(static_cast<std::size_t>(p.n));
+  Rng rng(101);
+  for (auto& l : labels) l = static_cast<index_t>(rng.next_bounded(3));
+
+  // Sequential reference: two SGD steps.
+  GnnModel<double> seq(heads_config(p));
+  Trainer<double> trainer(seq, std::make_unique<SgdOptimizer<double>>(0.05));
+  std::vector<double> ref_losses;
+  for (int s = 0; s < 2; ++s) {
+    ref_losses.push_back(trainer.step(g.adj, adj_t, x, labels).loss);
+  }
+
+  comm::SpmdRuntime::run(p.ranks, [&](comm::Communicator& world) {
+    GnnModel<double> model(heads_config(p));
+    DistEngine<double> engine(world, g.adj, model, p.policy);
+    SgdOptimizer<double> opt(0.05);
+    for (int s = 0; s < 2; ++s) {
+      const auto res = engine.train_step(x, labels, opt);
+      ASSERT_NEAR(res.loss, ref_losses[static_cast<std::size_t>(s)], 1e-8)
+          << "step " << s << " rank " << world.rank();
+    }
+    for (std::size_t l = 0; l < model.num_layers(); ++l) {
+      const auto& w_dist = model.layer(l).weights();
+      const auto& w_seq = seq.layer(l).weights();
+      for (index_t i = 0; i < w_seq.size(); ++i) {
+        ASSERT_NEAR(w_dist.data()[i], w_seq.data()[i], 1e-8) << "layer " << l;
+      }
+      const auto& a_dist = model.layer(l).attention_params();
+      const auto& a_seq = seq.layer(l).attention_params();
+      for (std::size_t i = 0; i < a_seq.size(); ++i) {
+        ASSERT_NEAR(a_dist[i], a_seq[i], 1e-8) << "layer " << l;
+      }
+    }
+  });
+}
+
+// The six (ranks, heads, hidden layers, n) shapes, each under every policy.
+std::vector<HeadsCase> heads_cases() {
+  std::vector<HeadsCase> cases;
+  for (const DistPolicy policy :
+       {DistPolicy::k1D, DistPolicy::k1_5D, DistPolicy::k2D, DistPolicy::k3D}) {
+    for (const HeadsCase c : {HeadsCase{policy, 1, 2, 1, 20}, HeadsCase{policy, 4, 1, 1, 24},
+                              HeadsCase{policy, 4, 3, 1, 24}, HeadsCase{policy, 4, 2, 2, 24},
+                              HeadsCase{policy, 9, 3, 1, 26}, HeadsCase{policy, 9, 2, 2, 27}}) {
+      cases.push_back(c);
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DistEngineHeadsSweep, ::testing::ValuesIn(heads_cases()),
+    [](const auto& tpi) {
+      std::string policy = to_string(tpi.param.policy);
+      policy.erase(std::remove(policy.begin(), policy.end(), '.'), policy.end());
+      return policy + "_p" + std::to_string(tpi.param.ranks) + "_h" +
+             std::to_string(tpi.param.heads) + "_L" +
+             std::to_string(tpi.param.hidden_layers) + "_n" +
+             std::to_string(tpi.param.n);
+    });
+
+// Per head, a layer moves its own s-vector, H' block, softmax reductions
+// and Z block, so four heads move several times one head's bytes.
+TEST(DistEngineHeads, VolumeScalesWithHeadCount) {
+  const index_t n = 32;
+  const auto g = testing::small_graph<double>(n, 200, 103);
+  const auto x = testing::random_dense<double>(n, 5, 105);
+  for (const DistPolicy policy :
+       {DistPolicy::k1D, DistPolicy::k1_5D, DistPolicy::k2D, DistPolicy::k3D}) {
+    auto volume_for = [&](int heads) {
+      const HeadsCase p{policy, 4, heads, 1, n};
+      const auto stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
+        GnnModel<double> model(heads_config(p));
+        DistEngine<double> engine(world, g.adj, model, policy);
+        comm::reset_all_stats(world);
+        engine.forward(x, nullptr);
+      });
+      return comm::max_bytes_sent(stats);
+    };
+    const auto v1 = volume_for(1);
+    const auto v4 = volume_for(4);
+    EXPECT_GT(v4, 2 * v1) << to_string(policy);
+    EXPECT_LT(v4, 6 * v1) << to_string(policy);
+  }
 }
 
 // ---- volume ----------------------------------------------------------------------

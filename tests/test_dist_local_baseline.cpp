@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <string>
 
 #include "baseline/dist_local_engine.hpp"
 #include "comm/communicator.hpp"
@@ -114,6 +115,28 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(tpi.param.ranks) + "_n" + std::to_string(tpi.param.n) +
              "_L" + std::to_string(tpi.param.layers);
     });
+
+// The ghost-exchange engine is the single-head DistDGL stand-in: a GAT
+// model with attention heads is refused on every rank, naming the count.
+TEST(DistLocal, RefusesAttentionHeads) {
+  const auto g = testing::small_graph<double>(12, 50, 7);
+  comm::SpmdRuntime::run(2, [&](comm::Communicator& world) {
+    GnnConfig cfg;
+    cfg.kind = ModelKind::kGAT;
+    cfg.in_features = 3;
+    cfg.layer_widths = {3};
+    cfg.out_heads = 2;
+    GnnModel<double> model(cfg);
+    try {
+      DistLocalEngine<double> engine(world, g.adj, model);
+      ADD_FAILURE() << "expected the head count to be refused";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("one attention head, layer 0 has 2"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+}
 
 TEST(DistLocal, GhostCountMatchesRemoteNeighborSet) {
   const index_t n = 30;

@@ -295,7 +295,8 @@ struct ChaosTrainResult {
 // Trains 4-rank GAT under `plan` with recovery; returns the loss trajectory
 // and final parameters (identical on all ranks; rank 0 reports).
 ChaosTrainResult chaos_train(const comm::FaultPlan& plan, int epochs,
-                             const RecoveryOptions& ropts = {}) {
+                             const RecoveryOptions& ropts = {},
+                             const GnnConfig& cfg = gat_config()) {
   const auto g = testing::small_graph<double>(24, 120, 17 + 24);
   const auto x = testing::random_dense<double>(24, 4, 19);
   std::vector<index_t> labels(24);
@@ -310,7 +311,7 @@ ChaosTrainResult chaos_train(const comm::FaultPlan& plan, int epochs,
   ChaosTrainResult result;
   std::mutex mu;
   const auto snaps = comm::SpmdRuntime::run(4, opts, [&](comm::Communicator& world) {
-    GnnModel<double> model(gat_config());
+    GnnModel<double> model(cfg);
     DistEngine<double> engine(world, g.adj, model, DistPolicy::k1_5D);
     SgdOptimizer<double> opt(0.05, 0.9);  // momentum => optimizer state blob
     const auto report = train_with_recovery<double>(
@@ -407,6 +408,37 @@ TEST(ChaosRecovery, PersistsCheckpointFileOnRankZero) {
   EXPECT_FALSE(opt_state.empty());  // momentum SGD carries state
   std::remove(path.c_str());
   (void)clean;
+}
+
+// GAT with attention heads persists like any model: the checkpoint taken
+// after epoch 2 of a 3-epoch run reloads to the parameters of a 2-epoch run.
+TEST(ChaosRecovery, PersistsMultiHeadCheckpoint) {
+  const std::string path = ::testing::TempDir() + "chaos_ckpt_heads.bin";
+  std::remove(path.c_str());
+  GnnConfig cfg = gat_config();
+  cfg.heads = 3;
+  cfg.out_heads = 2;
+  RecoveryOptions ropts;
+  ropts.checkpoint_every = 2;
+  ropts.checkpoint_path = path;
+  chaos_train(comm::FaultPlan{}, 3, ropts, cfg);
+  ASSERT_TRUE(checkpoint_exists(path));
+  const auto two_epochs = chaos_train(comm::FaultPlan{}, 2, {}, cfg);
+
+  GnnModel<double> model(cfg);
+  std::vector<double> opt_state;
+  const CheckpointMeta meta = load_checkpoint(path, model, &opt_state);
+  std::remove(path.c_str());
+  EXPECT_EQ(meta.epoch, 2);
+  EXPECT_FALSE(opt_state.empty());  // momentum SGD carries state
+  EXPECT_EQ(model.layer(0).heads(), 3);
+  EXPECT_EQ(model.layer(1).heads(), 2);
+  std::vector<double> params;
+  collect_params(model, params);
+  ASSERT_EQ(params.size(), two_epochs.params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_NEAR(params[i], two_epochs.params[i], 1e-12) << "param " << i;
+  }
 }
 
 TEST(ChaosRecovery, ParamSnapshotRoundTripsBitwise) {

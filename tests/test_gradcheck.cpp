@@ -5,6 +5,9 @@
 // numeric differentiation well-conditioned.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/gradcheck.hpp"
 #include "core/model.hpp"
 #include "graph/graph.hpp"
@@ -114,6 +117,63 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(tpi.param.kind)) + "_L" +
              std::to_string(tpi.param.layers) + "_k" + std::to_string(tpi.param.k);
     });
+
+// GAT with attention heads: `heads` concatenated heads per hidden layer and
+// two averaged output heads, every head's block of W and a checked as part
+// of the layer's one W and one a.
+class GatHeadsGradSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(GatHeadsGradSweep, GradientsMatchFiniteDifferences) {
+  const auto [heads, hidden_layers] = GetParam();
+  const index_t n = 12, k = 4;
+  const auto g = testing::small_graph<double>(n, 50, 19);
+  const CsrMatrix<double> adj_t = g.adj.transposed();
+  auto x = testing::random_dense<double>(n, k, 21);
+  std::vector<index_t> labels(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i % 3;
+
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGAT;
+  cfg.in_features = k;
+  cfg.layer_widths.assign(static_cast<std::size_t>(hidden_layers) + 1, 3);
+  cfg.heads = heads;
+  cfg.out_heads = 2;
+  cfg.hidden_activation = Activation::kTanh;
+  cfg.seed = 23;
+  GnnModel<double> model(cfg);
+
+  const auto loss_fn = [&]() {
+    return static_cast<double>(
+        softmax_cross_entropy<double>(model.infer(g.adj, x), labels).value);
+  };
+  std::vector<LayerCache<double>> caches;
+  const auto h = model.forward(g.adj, x, caches);
+  const auto loss = softmax_cross_entropy<double>(h, labels);
+  const auto grads = model.backward(g.adj, adj_t, caches, loss.grad);
+
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    auto& layer = model.layer(l);
+    const auto res_w =
+        gradcheck<double>(layer.weights().flat(), grads[l].d_w.flat(), loss_fn, 1e-6);
+    EXPECT_LT(res_w.max_rel_error, 2e-4) << "layer " << l << " dW";
+    const auto res_a = gradcheck<double>(std::span<double>(layer.attention_params()),
+                                         std::span<const double>(grads[l].d_a),
+                                         loss_fn, 1e-6);
+    EXPECT_LT(res_a.max_rel_error, 2e-4) << "layer " << l << " da";
+  }
+  const auto res_x = gradcheck<double>(x.flat(), grads[0].d_h_in.flat(), loss_fn, 1e-6);
+  EXPECT_LT(res_x.max_rel_error, 2e-4) << "dX";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GatHeadsGradSweep,
+                         ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1},
+                                           std::tuple{4, 1}, std::tuple{2, 2}),
+                         [](const auto& tpi) {
+                           std::string name = "h";
+                           name += std::to_string(std::get<0>(tpi.param));
+                           name += "_L" + std::to_string(std::get<1>(tpi.param));
+                           return name;
+                         });
 
 TEST(Gradcheck, DirectedGraphBackwardVa) {
   // The backward pass runs on the reversed graph (Section 5.2); exercise

@@ -2,6 +2,8 @@
 // the mini-batch sampler.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baseline/local_engine.hpp"
 #include "baseline/minibatch.hpp"
 #include "core/model.hpp"
@@ -34,6 +36,27 @@ TEST(LocalEngine, EmptyNeighborhoodProducesZeroForVa) {
   // Vertices 1 and 2 have no out-edges: aggregation is empty -> zero.
   EXPECT_DOUBLE_EQ(h(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(h(2, 1), 0.0);
+}
+
+// The local formulation is the single-head stand-in: a GAT model with
+// attention heads is refused with the head count in the error.
+TEST(LocalEngine, RefusesAttentionHeads) {
+  const auto g = testing::small_graph<double>(10, 40, 3);
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGAT;
+  cfg.in_features = 3;
+  cfg.layer_widths = {3, 2};
+  cfg.heads = 3;
+  GnnModel<double> model(cfg);
+  const auto x = testing::random_dense<double>(10, 3, 4);
+  try {
+    local_infer(model, g.adj, x);
+    FAIL() << "expected the head count to be refused";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("one attention head, the layer has 3"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LocalEngine, SingleEdgeGatAttentionIsOne) {

@@ -207,7 +207,9 @@ TEST(AttentionScores, MatchesCachedPsiFromTraining) {
     std::vector<LayerCache<double>> caches;
     model.forward(g.adj, x, caches);
     const auto psi = model.layer(0).attention_scores(g.adj, x);
-    testing::expect_sparse_near(psi, caches[0].psi, 1e-10, to_string(kind));
+    const auto& cached =
+        kind == ModelKind::kGAT ? caches[0].heads[0].psi : caches[0].psi;
+    testing::expect_sparse_near(psi, cached, 1e-10, to_string(kind));
   }
 }
 

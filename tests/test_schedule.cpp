@@ -356,12 +356,13 @@ INSTANTIATE_TEST_SUITE_P(
 // repeated invocations must not allocate at all. The fused aggregates size
 // each thread's score buffer to the longest row when their parallel region
 // starts, so no buffer depends on which rows its thread happens to draw,
-// and the dot kernels size their output to the pattern once per call.
+// and the dot kernels and psi_gat size their outputs to the pattern once
+// per call.
 TEST(ScheduleSteadyState, RowParallelKernelsAllocateNothing) {
   const auto in = make_inputs(kFamilyStar);
   const std::vector<double> norms = row_l2_norms(in.h);
   DenseMatrix<double> spmm_out, mean_out, gat_out, va_out;
-  CsrMatrix<double> soft = in.a, sampled, cosines;
+  CsrMatrix<double> soft = in.a, sampled, cosines, gat_scores, gat_psi;
   std::vector<double> sums;
   auto run_once = [&] {
     spmm(in.a, in.h, spmm_out);
@@ -370,6 +371,7 @@ TEST(ScheduleSteadyState, RowParallelKernelsAllocateNothing) {
     fused_va_aggregate(in.a, in.h, in.x, va_out);
     sddmm(in.a, in.h, in.h, sampled);
     psi_agnn(in.a, in.h, std::span<const double>(norms), cosines);
+    psi_gat<double>(in.a, in.s1, in.s2, 0.2, gat_scores, gat_psi);
     row_softmax_inplace(soft);
     sparse_row_sums(in.a, sums);
   };

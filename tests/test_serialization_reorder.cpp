@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -121,6 +122,92 @@ TEST(Serialization, HugeOptimizerStateIsRejectedBeforeAllocating) {
   save_checkpoint(path, model, 3, std::span<const double>(state));
   testing::patch_i64(path, 16, kPastMaxSize);  // magic, epoch, then the count
   expect_truncated_error([&] { load_checkpoint(path, model); });
+  std::filesystem::remove(path);
+}
+
+// GAT with attention heads: the AGNNMDL2 header carries both head counts.
+GnnConfig heads_config() {
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGAT;
+  cfg.in_features = 6;
+  cfg.layer_widths = {4, 3};
+  cfg.heads = 3;
+  cfg.out_heads = 2;
+  cfg.hidden_activation = Activation::kTanh;
+  cfg.seed = 31;
+  return cfg;
+}
+
+TEST(Serialization, MultiHeadRoundTripIsBitExact) {
+  const std::string path = ::testing::TempDir() + "agnn_model_heads.bin";
+  GnnModel<double> model(heads_config());
+  Rng rng(5);
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    model.layer(l).weights().fill_uniform(rng, -2.0, 2.0);
+    for (double& v : model.layer(l).attention_params()) v = rng.next_uniform(-1.0, 1.0);
+  }
+  save_model(path, model);
+  const GnnModel<double> loaded = load_model<double>(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.config().heads, 3);
+  EXPECT_EQ(loaded.config().out_heads, 2);
+  ASSERT_EQ(loaded.num_layers(), model.num_layers());
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    EXPECT_EQ(loaded.layer(l).heads(), model.layer(l).heads());
+    EXPECT_EQ(loaded.layer(l).weights(), model.layer(l).weights()) << l;
+    EXPECT_EQ(loaded.layer(l).attention_params(), model.layer(l).attention_params());
+  }
+  const auto g = testing::small_graph<double>(20, 80, 9);
+  const auto x = testing::random_dense<double>(20, 6, 11);
+  EXPECT_EQ(model.infer(g.adj, x), loaded.infer(g.adj, x));
+}
+
+// An AGNNMDL1 file, written here byte by byte, has no head counts and
+// loads as one head.
+TEST(Serialization, VersionOneFileLoadsAsOneHead) {
+  const std::string path = ::testing::TempDir() + "agnn_model_v1.bin";
+  const std::vector<double> w = {0.5, -0.25, 1.0, 0.75, -1.5, 0.125};  // 3 x 2
+  const std::vector<double> a = {0.1, -0.2, 0.3, -0.4};
+  {
+    std::ofstream out(path, std::ios::binary);
+    const auto i64 = [&](std::int64_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    const auto f64 = [&](double v) { out.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
+    out.write("AGNNMDL1", 8);
+    i64(static_cast<std::int64_t>(ModelKind::kGAT));
+    i64(3);  // in_features
+    i64(1);  // layers
+    i64(static_cast<std::int64_t>(Activation::kTanh));
+    i64(static_cast<std::int64_t>(Activation::kIdentity));
+    i64(static_cast<std::int64_t>(Activation::kRelu));
+    f64(0.2);  // attention slope
+    f64(0.0);  // gin epsilon
+    i64(2);    // layer width
+    i64(static_cast<std::int64_t>(w.size()));
+    for (const double v : w) f64(v);
+    i64(static_cast<std::int64_t>(a.size()));
+    for (const double v : a) f64(v);
+    i64(0);  // no W2
+  }
+  const GnnModel<double> model = load_model<double>(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(model.config().heads, 1);
+  EXPECT_EQ(model.config().out_heads, 1);
+  ASSERT_EQ(model.num_layers(), 1u);
+  EXPECT_EQ(model.layer(0).heads(), 1);
+  EXPECT_EQ(model.layer(0).out_features(), 2);
+  EXPECT_EQ(model.layer(0).weights(), DenseMatrix<double>(3, 2, w));
+  EXPECT_EQ(model.layer(0).attention_params(), a);
+}
+
+TEST(Serialization, ForgedHeadCountIsRejectedBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "agnn_model_heads_huge.bin";
+  save_model(path, GnnModel<double>(heads_config()));
+  // magic, kind, in_features, layers, three activations, slope, epsilon,
+  // then the hidden layers' head count.
+  testing::patch_i64(path, 72, kPastMaxSize);
+  expect_truncated_error([&] { load_model<double>(path); });
   std::filesystem::remove(path);
 }
 

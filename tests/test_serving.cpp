@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <future>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "serve/server.hpp"
@@ -300,6 +302,8 @@ TEST(ServingCache, InvalidateDropsRowsKeepsCounters) {
 
 class ServingBitwise : public ::testing::TestWithParam<ModelKind> {};
 
+// GAT also runs with 3 concatenated hidden heads and 2 averaged output
+// heads, so the between-layer compaction gathers rows 3 heads wide.
 TEST_P(ServingBitwise, BatchedForwardEqualsSequentialBitwise) {
   const ModelKind kind = GetParam();
   const auto adj = serving_graph<float>(90, 1100, 61, kind);
@@ -308,41 +312,53 @@ TEST_P(ServingBitwise, BatchedForwardEqualsSequentialBitwise) {
   cfg.in_features = 12;
   cfg.layer_widths = {10, 6};
   cfg.seed = 3;
-  const GnnModel<float> model(cfg);
+  std::vector<GnnConfig> configs = {cfg};
+  if (kind == ModelKind::kGAT) {
+    cfg.heads = 3;
+    cfg.out_heads = 2;
+    configs.push_back(cfg);
+  }
   const auto x = testing::random_dense<float>(90, 12, 8);
   const NeighborSampler sampler(4, 2, /*base_seed=*/123);
 
-  // A batch of 6 requests (with a repeated vertex: same vertex, different
-  // request id, different sample) through the batched path...
-  const std::vector<index_t> vertices = {3, 40, 3, 88, 17, 55};
-  std::vector<SampledEgoNet<float>> nets;
-  for (std::size_t r = 0; r < vertices.size(); ++r) {
-    nets.push_back(sampler.sample_for_request<float>(
-        adj, vertices[r], static_cast<std::uint64_t>(r)));
-  }
-  std::vector<const SampledEgoNet<float>*> ptrs;
-  for (const auto& n : nets) ptrs.push_back(&n);
-  const BatchBlocks<float> bb =
-      serve::build_batch(std::span<const SampledEgoNet<float>* const>(ptrs));
-  Workspace<float> ws;
-  DenseMatrix<float> x0(static_cast<index_t>(bb.input_vertices.size()), 12);
-  gather_rows(x, std::span<const index_t>(bb.input_vertices), x0);
-  DenseMatrix<float> out;
-  serve::forward_batch(model, bb, x0, ws, out);
-  ASSERT_EQ(out.rows(), static_cast<index_t>(vertices.size()));
+  for (const GnnConfig& config : configs) {
+    const GnnModel<float> model(config);
+    const std::string label = std::string(to_string(kind)) + " heads " +
+                              std::to_string(config.heads) + "x" +
+                              std::to_string(config.out_heads);
+    // A batch of 6 requests (with a repeated vertex: same vertex, different
+    // request id, different sample) through the batched path...
+    const std::vector<index_t> vertices = {3, 40, 3, 88, 17, 55};
+    std::vector<SampledEgoNet<float>> nets;
+    for (std::size_t r = 0; r < vertices.size(); ++r) {
+      nets.push_back(sampler.sample_for_request<float>(
+          adj, vertices[r], static_cast<std::uint64_t>(r)));
+    }
+    std::vector<const SampledEgoNet<float>*> ptrs;
+    for (const auto& n : nets) ptrs.push_back(&n);
+    const BatchBlocks<float> bb =
+        serve::build_batch(std::span<const SampledEgoNet<float>* const>(ptrs));
+    Workspace<float> ws;
+    DenseMatrix<float> x0(static_cast<index_t>(bb.input_vertices.size()), 12);
+    gather_rows(x, std::span<const index_t>(bb.input_vertices), x0);
+    DenseMatrix<float> out;
+    serve::forward_batch(model, bb, x0, ws, out);
+    ASSERT_EQ(out.rows(), static_cast<index_t>(vertices.size()));
+    ASSERT_EQ(out.cols(), 6) << label;
 
-  // ...must match each request run alone, bit for bit.
-  Workspace<float> ws2;
-  for (std::size_t r = 0; r < vertices.size(); ++r) {
-    const auto solo = serve::serve_sequential(
-        model, adj, x, sampler, vertices[r],
-        derive_request_seed(123, static_cast<std::uint64_t>(r)), ws2);
-    ASSERT_EQ(solo.size(), static_cast<std::size_t>(out.cols()));
-    const auto row = out.row(static_cast<index_t>(r));
-    for (std::size_t j = 0; j < solo.size(); ++j) {
-      EXPECT_EQ(row[j], solo[j])
-          << to_string(kind) << " request " << r << " element " << j
-          << " differs between batched and sequential";
+    // ...must match each request run alone, bit for bit.
+    Workspace<float> ws2;
+    for (std::size_t r = 0; r < vertices.size(); ++r) {
+      const auto solo = serve::serve_sequential(
+          model, adj, x, sampler, vertices[r],
+          derive_request_seed(123, static_cast<std::uint64_t>(r)), ws2);
+      ASSERT_EQ(solo.size(), static_cast<std::size_t>(out.cols()));
+      const auto row = out.row(static_cast<index_t>(r));
+      for (std::size_t j = 0; j < solo.size(); ++j) {
+        EXPECT_EQ(row[j], solo[j])
+            << label << " request " << r << " element " << j
+            << " differs between batched and sequential";
+      }
     }
   }
 }

@@ -169,5 +169,46 @@ TEST(Training, DeterministicGivenSeed) {
   EXPECT_NE(l1, l3);
 }
 
+// GAT with three concatenated hidden heads and two averaged output heads
+// learns a two-community split through the Trainer.
+TEST(GatLayerHeads, TrainerLearnsPlantedTask) {
+  const index_t n = 60;
+  Rng rng(25);
+  CooMatrix<double> coo;
+  coo.n_rows = coo.n_cols = n;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const bool same = (i < n / 2) == (j < n / 2);
+      if (rng.next_double() < (same ? 0.3 : 0.03)) coo.push_back(i, j, 1.0);
+    }
+  }
+  for (index_t i = 0; i < n; ++i) coo.push_back(i, i, 1.0);
+  coo.dedup_binary();
+  const auto adj = CsrMatrix<double>::from_coo(coo);
+  DenseMatrix<double> x(n, 4);
+  std::vector<index_t> labels(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    labels[static_cast<std::size_t>(i)] = i < n / 2 ? 0 : 1;
+    for (index_t f = 0; f < 4; ++f) {
+      x(i, f) = (i < n / 2 ? 0.4 : -0.4) + rng.next_uniform(-1.0, 1.0);
+    }
+  }
+
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGAT;
+  cfg.in_features = 4;
+  cfg.layer_widths = {4, 2};
+  cfg.heads = 3;
+  cfg.out_heads = 2;
+  cfg.hidden_activation = Activation::kTanh;
+  cfg.seed = 5;
+  GnnModel<double> model(cfg);
+  Trainer<double> trainer(model, std::make_unique<AdamOptimizer<double>>(0.01));
+  const auto losses = trainer.train(adj, x, labels, 120);
+  EXPECT_LT(losses.back(), 0.3 * losses.front());
+  EXPECT_GT(accuracy<double>(model.infer(adj, x), labels), 0.9);
+}
+
 }  // namespace
 }  // namespace agnn
