@@ -15,8 +15,12 @@
 //   * a backward value transpose M^T H: transposed_into then SpMM, against
 //     the SpMM that reads M^T through A^T's source-edge map;
 //   * the SDDMM and SpMM kernels that run on the sparse core
-//     (tensor/sparse_core.hpp) on train-kron's graph.
+//     (tensor/sparse_core.hpp) on train-kron's graph;
+//   * matmul_tn and matmul_nt with 1.2% subnormal entries in G, and the
+//     cross-entropy loss on unsaturated and saturated logits.
 #include <benchmark/benchmark.h>
+
+#include <limits>
 
 #include "baseline/local_engine.hpp"
 #include "bench_common.hpp"
@@ -440,6 +444,93 @@ void DenseGemm(benchmark::State& state, GemmForm form) {
 #endif
 }
 
+// ---- subnormal operands -----------------------------------------------------
+// matmul_tn (H^T G) and matmul_nt (G W^T) at the dense GEMM shape, with G as
+// a saturated model's two-exp loss gradient left it: 1.2% of its entries
+// subnormal ("subnormal"), or the same entries +0 as softmax_cross_entropy
+// now writes them ("normal"). On x86 without FTZ/DAZ every operation on a
+// subnormal operand takes a microcode assist.
+DenseMatrix<real_t> with_tiny_entries(bool subnormal) {
+  DenseMatrix<real_t> g = uniform_matrix(16384, 64, 31);
+  Rng rng(59);
+  const double sub_max = std::numeric_limits<real_t>::min();
+  const double sub_min = std::numeric_limits<real_t>::denorm_min();
+  for (auto& v : g.flat()) {
+    const double tiny = rng.next_uniform(sub_min, sub_max);
+    if (rng.next_double() < 0.012) v = subnormal ? static_cast<real_t>(tiny) : real_t(0);
+  }
+  return g;
+}
+
+void SubnormalOperand(benchmark::State& state, GemmForm form, bool subnormal) {
+  static const auto h = uniform_matrix(16384, 64, 29);
+  static const auto w = uniform_matrix(64, 64, 37);
+  static const DenseMatrix<real_t> g_sub = with_tiny_entries(true);
+  static const DenseMatrix<real_t> g_zero = with_tiny_entries(false);
+  const DenseMatrix<real_t>& g = subnormal ? g_sub : g_zero;
+#if defined(_OPENMP)
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  DenseMatrix<real_t> out;
+  for (auto _ : state) {
+    if (form == GemmForm::kTN) {
+      matmul_tn(h, g, out);
+    } else {
+      matmul_nt(g, w, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(prev_threads);
+#endif
+}
+
+// ---- cross-entropy loss -----------------------------------------------------
+// softmax_cross_entropy on 16384 x 64 float logits at 1 and 4 threads.
+// "unsaturated": U(-5, 5) logits. "saturated": as a trained VA, AGNN or GIN
+// leaves them, 35% of the non-label logits pushed 90 to 300 below the rest,
+// so the plain formula's probabilities underflow.
+struct LossInputs {
+  DenseMatrix<real_t> h;
+  std::vector<index_t> labels;
+};
+
+LossInputs loss_inputs(bool saturated) {
+  LossInputs in{DenseMatrix<real_t>(16384, 64), std::vector<index_t>(16384)};
+  Rng rng(61);
+  for (index_t i = 0; i < in.h.rows(); ++i) {
+    const auto y = static_cast<index_t>(rng.next_bounded(64));
+    in.labels[static_cast<std::size_t>(i)] = y;
+    for (index_t j = 0; j < in.h.cols(); ++j) {
+      double v = rng.next_uniform(-5, 5);
+      if (saturated && j != y && rng.next_double() < 0.35) v -= rng.next_uniform(90, 300);
+      in.h(i, j) = static_cast<real_t>(v);
+    }
+  }
+  return in;
+}
+
+void CrossEntropy(benchmark::State& state, bool saturated) {
+  static const LossInputs unsaturated_in = loss_inputs(false);
+  static const LossInputs saturated_in = loss_inputs(true);
+  const LossInputs& in = saturated ? saturated_in : unsaturated_in;
+#if defined(_OPENMP)
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
+  LossResult<real_t> out;
+  for (auto _ : state) {
+    softmax_cross_entropy(in.h, std::span<const index_t>(in.labels), out);
+    benchmark::DoNotOptimize(out.grad.data());
+    benchmark::ClobberMemory();
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(prev_threads);
+#endif
+}
+
 // ---- transposes in backward -------------------------------------------------
 // M^T H for an M with A's pattern, on train-kron's graph (Kronecker scale 14,
 // 16 n edge samples, symmetrized, self-loops; about 450k non-zeros) at
@@ -561,6 +652,16 @@ BENCHMARK_CAPTURE(SpmmTransposed, gather, TransposeForm::kGather)
 BENCHMARK_CAPTURE(DenseGemm, matmul, GemmForm::kNN)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(DenseGemm, matmul_nt, GemmForm::kNT)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK_CAPTURE(DenseGemm, matmul_tn, GemmForm::kTN)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SubnormalOperand, matmul_tn/normal, GemmForm::kTN, false)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SubnormalOperand, matmul_tn/subnormal, GemmForm::kTN, true)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SubnormalOperand, matmul_nt/normal, GemmForm::kNT, false)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(SubnormalOperand, matmul_nt/subnormal, GemmForm::kNT, true)
+    ->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(CrossEntropy, unsaturated, false)->ArgName("threads")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(CrossEntropy, saturated, true)->ArgName("threads")->Arg(1)->Arg(4);
 BENCHMARK(PsiVaFused)->Args({512, 16})->Args({1024, 16})->Args({1024, 128});
 BENCHMARK(PsiVaUnfused)->Args({512, 16})->Args({1024, 16})->Args({1024, 128});
 BENCHMARK(PsiAgnnFused)->Args({512, 16})->Args({1024, 16});

@@ -163,14 +163,16 @@ class DistEngine {
     DenseMatrix<T> w2 = layer.weights2();
     if (!w2.empty()) world().broadcast(w2.flat(), 0);
 
-    // All intermediates live in the cache slots (or a throwaway scratch in
-    // inference mode), overwritten in place across steps.
-    LayerCache scratch;
-    LayerCache& c = cache ? *cache : scratch;
+    // All intermediates live in the cache slots (in inference mode, one
+    // cache every layer shares), overwritten in place across steps.
+    LayerCache& c = cache ? *cache : infer_cache_;
     Layout<T>& lay = *layout_;
     const CsrMatrix<T>& a = lay.adjacency();
-    c.ph_r.resize(a.rows(), h_v.cols());
-    c.ph_r.set_zero();
+    // The stage SpMMs of GCN, GIN, VA and AGNN accumulate into (Psi H)_R.
+    if (layer.kind() != ModelKind::kGAT) {
+      c.ph_r.resize(a.rows(), h_v.cols());
+      c.ph_r.set_zero();
+    }
 
     switch (layer.kind()) {
       case ModelKind::kGCN:
@@ -616,6 +618,7 @@ class DistEngine {
   GnnModel<T>& model_;
   Workspace<T> ws_;                 // per-rank scratch pool
   std::vector<LayerCache> caches_;  // persistent training caches
+  LayerCache infer_cache_;          // every inference layer's intermediates
 };
 
 }  // namespace agnn::dist

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -265,6 +266,38 @@ TEST(FaultFiringMore, EnvSpecDrivesTheDefaultRunOverload) {
     std::vector<double> buf(4, 1.0);
     world.allreduce_sum(std::span<double>(buf));
   });
+}
+
+// AGNN_COMM_TIMEOUT_MS takes AGNN_DIST_DEPTH's rules: a decimal integer in
+// [1, INT_MAX], or unset or empty for the default. Anything else throws a
+// logic_error naming the variable before any rank runs, where atol used to
+// read "250ms" as 250 and "abc" as no deadline.
+TEST(FaultFiringMore, TimeoutEnvIsParsedStrictly) {
+  std::atomic<int> ran{0};
+  const auto body = [&](Communicator& world) {
+    ran.fetch_add(1);
+    std::vector<double> buf(4, 1.0);
+    world.allreduce_sum(std::span<double>(buf));
+  };
+  for (const char* bad : {"250ms", "abc", "-1", "0", " 250", "+250", "2.5",
+                          "99999999999999999999"}) {
+    ASSERT_EQ(setenv("AGNN_COMM_TIMEOUT_MS", bad, 1), 0);
+    try {
+      SpmdRuntime::run(2, body);
+      ADD_FAILURE() << "AGNN_COMM_TIMEOUT_MS='" << bad << "' must throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("AGNN_COMM_TIMEOUT_MS"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ran.load(), 0) << "a rank ran under AGNN_COMM_TIMEOUT_MS='" << bad << "'";
+  }
+  for (const char* good : {"250", ""}) {
+    ASSERT_EQ(setenv("AGNN_COMM_TIMEOUT_MS", good, 1), 0);
+    EXPECT_EQ(timeout_from_env().count(), good[0] == '\0' ? 0 : 250);
+    SpmdRuntime::run(2, body);
+  }
+  unsetenv("AGNN_COMM_TIMEOUT_MS");
+  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace
