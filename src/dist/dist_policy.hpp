@@ -19,17 +19,15 @@
 // the family member from the environment and throw on a malformed value.
 #pragma once
 
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "dist/process_grid.hpp"
+#include "tensor/env.hpp"
 
 namespace agnn::dist {
 
@@ -173,22 +171,9 @@ inline DistPolicy policy_from_env(int p) {
   return *parsed;
 }
 
-// AGNN_DIST_DEPTH: the 3D depth, a decimal integer in [1, INT_MAX]. Unset or
-// empty means 0, which lets grid_for pick the depth; anything else throws.
-inline int depth_hint_from_env() {
-  const char* v = std::getenv("AGNN_DIST_DEPTH");
-  if (v == nullptr || v[0] == '\0') return 0;
-  const char* end = v + std::strlen(v);
-  int d = 0;
-  const auto [ptr, ec] = std::from_chars(v, end, d);
-  if (ec != std::errc() || ptr != end || d < 1) {
-    throw std::logic_error(std::string("AGNN_DIST_DEPTH: invalid depth '") + v +
-                           "' (want an integer in [1, " +
-                           std::to_string(std::numeric_limits<int>::max()) +
-                           "], or unset for auto)");
-  }
-  return d;
-}
+// AGNN_DIST_DEPTH: the 3D depth, parsed by positive_int_from_env. Unset or
+// empty means 0, which lets grid_for pick the depth.
+inline int depth_hint_from_env() { return positive_int_from_env("AGNN_DIST_DEPTH"); }
 
 inline GridShape grid_from_env(int p) {
   return grid_for(policy_from_env(p), p, depth_hint_from_env());
