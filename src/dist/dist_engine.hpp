@@ -8,7 +8,9 @@
 // layout V). The sparse blocks never move, so per layer a rank moves
 // O(n k / sqrt(p) + k^2) words on the 1.5D grid — the Section 7.1 bound —
 // and each member's own bound elsewhere (dist/volume_model.hpp replays the
-// forward protocols byte for byte).
+// forward protocols byte for byte). The local formulation's ghost exchange
+// is one more layout (baseline/dist_local_engine.hpp), so the global and
+// local engines differ only in what their layouts move.
 //
 // Every backward follows one form: fetch G into R once and form M = G W^T
 // locally; the row-side partials (VA, AGNN, GAT's ds1) are summed over the
@@ -69,15 +71,19 @@ class DistEngine {
   // distribution is not charged, matching the paper's accounting.
   DistEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
              GnnModel<T>& model, const GridShape& shape)
-      : policy_(shape.policy),
-        layout_(make_layout(world, a_global, shape)),
-        model_(model) {}
+      : DistEngine(make_layout(world, a_global, shape), model, shape.policy) {}
 
   // The grid `grid_for` routes this policy and rank count to.
   DistEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
              GnnModel<T>& model, DistPolicy policy, int depth_hint = 0)
       : DistEngine(world, a_global, model,
                    grid_for(policy, world.size(), depth_hint)) {}
+
+  // Over a caller-built layout of the `policy` family (collective, like the
+  // layout's own constructor).
+  DistEngine(std::unique_ptr<Layout<T>> layout, GnnModel<T>& model,
+             DistPolicy policy)
+      : policy_(policy), layout_(std::move(layout)), model_(model) {}
 
   // Full forward pass; x_global is the (replicated) input feature matrix.
   // Returns the final features on the rank's input block. If `caches` is
@@ -102,7 +108,8 @@ class DistEngine {
 
   // One full-batch training step. Labels and mask are replicated (like the
   // input features). Gradients are globally allreduced, so the per-rank
-  // model replicas stay bitwise in sync.
+  // model replicas stay bitwise in sync. The loss, G and the gradients are
+  // members, as in Trainer, reused across steps.
   StepResult train_step(const DenseMatrix<T>& x_global,
                         std::span<const index_t> labels, Optimizer<T>& opt,
                         std::span<const std::uint8_t> mask = {}) {
@@ -117,33 +124,33 @@ class DistEngine {
     const BlockRange vb = layout_->input_rows();
     const auto b = static_cast<std::size_t>(vb.begin);
     const auto len = static_cast<std::size_t>(vb.size());
-    LossResult<T> loss = softmax_cross_entropy(
-        h, labels.subspan(b, len), mask.empty() ? mask : mask.subspan(b, len),
-        active);
+    softmax_cross_entropy(h, labels.subspan(b, len), loss_,
+                          mask.empty() ? mask : mask.subspan(b, len), active);
     // Scalar loss: ranks holding a replica of a block must not double-count.
-    std::vector<T> loss_buf{layout_->owns_input_copy() ? loss.value : T(0)};
-    world().allreduce_sum(std::span<T>(loss_buf));
+    T loss = layout_->owns_input_copy() ? loss_.value : T(0);
+    world().allreduce_sum(std::span<T>(&loss, 1));
 
-    // G^L = nabla_H L ⊙ sigma'(Z^L), locally on the input block.
+    // G^L = nabla_H L ⊙ sigma'(Z^L), locally on the input block; each
+    // layer leaves Gamma in its gradients' d_h_in.
     const auto& last = model_.layer(model_.num_layers() - 1);
-    DenseMatrix<T> g =
-        activation_backward(last.activation(), caches_.back().z_v, loss.grad);
-    std::vector<LayerGrads<T>> grads(model_.num_layers());
+    activation_backward(last.activation(), caches_.back().z_v, loss_.grad, g_);
+    grads_.resize(model_.num_layers());
     for (std::size_t l = model_.num_layers(); l-- > 0;) {
-      DenseMatrix<T> gamma = layer_backward(model_.layer(l), caches_[l], g, grads[l]);
+      layer_backward(model_.layer(l), caches_[l], g_, grads_[l]);
       if (l > 0) {
-        g = activation_backward(model_.layer(l - 1).activation(),
-                                caches_[l - 1].z_v, gamma);
+        activation_backward(model_.layer(l - 1).activation(), caches_[l - 1].z_v,
+                            grads_[l].d_h_in, g_);
       }
     }
-    model_.apply_gradients(grads, opt);
-    return {loss_buf[0]};
+    model_.apply_gradients(grads_, opt);
+    return {loss};
   }
 
   // The world communicator (exposed so the recovery loop can barrier and
   // rendezvous on the same group the engine trains over).
   comm::Communicator& world() { return layout_->world(); }
   DistPolicy policy() const { return policy_; }
+  const Layout<T>& layout() const { return *layout_; }
   index_t num_vertices() const { return layout_->num_vertices(); }
   Workspace<T>& workspace() { return ws_; }
   const WorkspaceStats& workspace_stats() const { return ws_.stats(); }
@@ -389,44 +396,42 @@ class DistEngine {
 
   // ---- backward --------------------------------------------------------------
 
-  DenseMatrix<T> layer_backward(const Layer<T>& layer, const LayerCache& c,
-                                const DenseMatrix<T>& g_v, LayerGrads<T>& grads) {
+  // Fills the layer's parameter gradients and, in d_h_in, Gamma_V.
+  void layer_backward(const Layer<T>& layer, const LayerCache& c,
+                      const DenseMatrix<T>& g_v, LayerGrads<T>& grads) {
     AGNN_TRACE_SCOPE("dist.layer_backward", kPhase);
-    DenseMatrix<T> g_r;
-    layout_->fetch_rows(g_v, g_r);
-    DenseMatrix<T> gamma_v;
+    layout_->fetch_rows(g_v, g_r_);
     switch (layer.kind()) {
-      case ModelKind::kGCN: gamma_v = backward_gcn(layer, c, g_r, grads); break;
-      case ModelKind::kGIN: gamma_v = backward_gin(layer, c, g_r, grads); break;
-      case ModelKind::kVA: gamma_v = backward_va(layer, c, g_r, grads); break;
-      case ModelKind::kAGNN: gamma_v = backward_agnn(layer, c, g_r, grads); break;
-      case ModelKind::kGAT: gamma_v = backward_gat(layer, c, g_r, grads); break;
+      case ModelKind::kGCN: backward_gcn(layer, c, g_r_, grads); break;
+      case ModelKind::kGIN: backward_gin(layer, c, g_r_, grads); break;
+      case ModelKind::kVA: backward_va(layer, c, g_r_, grads); break;
+      case ModelKind::kAGNN: backward_agnn(layer, c, g_r_, grads); break;
+      case ModelKind::kGAT: backward_gat(layer, c, g_r_, grads); break;
     }
     // The parameter gradients hold this rank's share; summing them last
     // lets the replicas that skip the weight GEMMs run ahead meanwhile.
     world().allreduce_sum(grads.d_w.flat());
     if (!grads.d_w2.empty()) world().allreduce_sum(grads.d_w2.flat());
     if (!grads.d_a.empty()) world().allreduce_sum(std::span<T>(grads.d_a));
-    return gamma_v;
   }
 
-  DenseMatrix<T> backward_gcn(const Layer<T>& layer, const LayerCache& c,
-                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
-    grads.d_w = weight_grad_r(c.ph_r, g_r);
+  void backward_gcn(const Layer<T>& layer, const LayerCache& c,
+                    const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    weight_grad(layout_->owns_row_copy(), c.ph_r, g_r, grads.d_w);
     DenseMatrix<T> col_c;
     {
       comm::ComputeRegion cr(world().stats());
       const DenseMatrix<T> m_r = matmul_nt(g_r, layer.weights());
       col_c = spmm(layout_->adjacency_t(), m_r);
     }
-    return combine_partials(col_c, nullptr);
+    combine_partials(col_c, nullptr, grads.d_h_in);
   }
 
   // GIN: dW2 = hidden^T G, dPre = (G W2^T) ⊙ sigma_mlp'(pre),
   // dW = X^T dPre, dX = dPre W^T, Gamma = A^T dX + (1+eps) dX.
-  DenseMatrix<T> backward_gin(const Layer<T>& layer, const LayerCache& c,
-                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
-    grads.d_w2 = weight_grad_r(c.mlp_hidden_r, g_r);
+  void backward_gin(const Layer<T>& layer, const LayerCache& c,
+                    const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    weight_grad(layout_->owns_row_copy(), c.mlp_hidden_r, g_r, grads.d_w2);
     DenseMatrix<T> d_pre;
     {
       comm::ComputeRegion cr(world().stats());
@@ -434,24 +439,23 @@ class DistEngine {
       d_pre = activation_backward(layer.mlp_activation(), c.mlp_pre_r, d_hidden,
                                   T(0.01));
     }
-    grads.d_w = weight_grad_r(c.ph_r, d_pre);
+    weight_grad(layout_->owns_row_copy(), c.ph_r, d_pre, grads.d_w);
     DenseMatrix<T> dx_r, col_c;
     {
       comm::ComputeRegion cr(world().stats());
       dx_r = matmul_nt(d_pre, layer.weights());
       col_c = spmm(layout_->adjacency_t(), dx_r);
     }
-    DenseMatrix<T> gamma_v = combine_partials(col_c, nullptr);
+    combine_partials(col_c, nullptr, grads.d_h_in);
     DenseMatrix<T> dx_v;
     layout_->to_input(dx_r, dx_v);
     comm::ComputeRegion cr(world().stats());
-    axpy(T(1) + layer.gin_epsilon(), dx_v, gamma_v);
-    return gamma_v;
+    axpy(T(1) + layer.gin_epsilon(), dx_v, grads.d_h_in);
   }
 
-  DenseMatrix<T> backward_va(const Layer<T>& layer, const LayerCache& c,
-                             const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
-    grads.d_w = weight_grad_r(c.ph_r, g_r);
+  void backward_va(const Layer<T>& layer, const LayerCache& c,
+                   const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    weight_grad(layout_->owns_row_copy(), c.ph_r, g_r, grads.d_w);
     DenseMatrix<T> row_r, col_c;
     {
       comm::ComputeRegion cr(world().stats());
@@ -464,12 +468,12 @@ class DistEngine {
       spmm_transposed(a_t, n_blk.vals(), c.h_r, col_c);
       spmm_accumulate_transposed(a_t, c.psi.vals(), m_r, col_c);
     }
-    return combine_partials(col_c, &row_r);
+    combine_partials(col_c, &row_r, grads.d_h_in);
   }
 
-  DenseMatrix<T> backward_agnn(const Layer<T>& layer, const LayerCache& c,
-                               const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
-    grads.d_w = weight_grad_r(c.ph_r, g_r);
+  void backward_agnn(const Layer<T>& layer, const LayerCache& c,
+                     const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+    weight_grad(layout_->owns_row_copy(), c.ph_r, g_r, grads.d_w);
     DenseMatrix<T> row_r, col_c;
     {
       comm::ComputeRegion cr(world().stats());
@@ -491,18 +495,18 @@ class DistEngine {
       project_rows<T>(col_c, cs, hhat_c, norms_c);
       spmm_accumulate_transposed(a_t, c.psi.vals(), m_r, col_c);
     }
-    return combine_partials(col_c, &row_r);
+    combine_partials(col_c, &row_r, grads.d_h_in);
   }
 
   // Per head as Layer::backward_gat; then dW = H^T dH' and Gamma = dH' W^T
   // over every head's columns at once.
-  DenseMatrix<T> backward_gat(const Layer<T>& layer, const LayerCache& c,
-                              const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
+  void backward_gat(const Layer<T>& layer, const LayerCache& c,
+                    const DenseMatrix<T>& g_r, LayerGrads<T>& grads) {
     const CsrMatrix<T>& a = layout_->adjacency();
     const int heads = layer.heads();
     const index_t k = layer.head_features();
     const T g_scale = layer.average_heads() ? T(1) / static_cast<T>(heads) : T(1);
-    std::vector<T> da(layer.attention_params().size(), T(0));
+    grads.d_a.assign(layer.attention_params().size(), T(0));
     DenseMatrix<T> dhp_v;  // every head's dH' rows V, side by side
     DenseMatrix<T> g_hb, hp_cb, hp_vb, dhp_hb;  // head blocks (unused at one head)
     for (int hd = 0; hd < heads; ++hd) {
@@ -512,7 +516,7 @@ class DistEngine {
       const DenseMatrix<T>& g_h =
           layer.head_block(g_r, layer.average_heads() ? 0 : hd, g_scale, g_hb);
       const DenseMatrix<T>& hp_c = layer.head_block(c.hp_c, hd, T(1), hp_cb);
-      const auto da_h = da.begin() + 2 * hd * k;
+      const auto da_h = grads.d_a.begin() + 2 * hd * k;
 
       CsrMatrix<T> d_psi;
       std::vector<T> dots(static_cast<std::size_t>(a.rows()), T(0));
@@ -578,29 +582,30 @@ class DistEngine {
     }
 
     // dW, like da1, from the V rows of one input copy.
-    const DenseMatrix<T>& w = layer.weights();
-    grads.d_w = DenseMatrix<T>(w.rows(), w.cols(), T(0));
+    weight_grad(layout_->owns_input_copy(), c.h_v, dhp_v, grads.d_w);
     comm::ComputeRegion cr(world().stats());
-    if (layout_->owns_input_copy()) grads.d_w = matmul_tn(c.h_v, dhp_v);
-    grads.d_a = std::move(da);
-    return matmul_nt(dhp_v, w);
+    matmul_nt(dhp_v, layer.weights(), grads.d_h_in);
   }
 
-  // This rank's share of dW = sum over R blocks of X_R^T G_R: layout-R rows
-  // are identical across the row family, so one copy contributes.
-  DenseMatrix<T> weight_grad_r(const DenseMatrix<T>& x_r, const DenseMatrix<T>& g_r) {
-    DenseMatrix<T> dw(x_r.cols(), g_r.cols(), T(0));
-    if (layout_->owns_row_copy()) {
-      comm::ComputeRegion cr(world().stats());
-      dw = matmul_tn(x_r, g_r);
+  // This rank's share of dW = sum over blocks of X^T G. Rows replicated over
+  // a family are identical, so only the copy `owns` names contributes; the
+  // other replicas add zeros.
+  void weight_grad(bool owns, const DenseMatrix<T>& x, const DenseMatrix<T>& g,
+                   DenseMatrix<T>& dw) {
+    if (!owns) {
+      dw.resize(x.cols(), g.cols());
+      dw.set_zero();
+      return;
     }
-    return dw;
+    comm::ComputeRegion cr(world().stats());
+    matmul_tn(x, g, dw);
   }
 
   // Gamma_V = (column partials summed over the column family) + (row
   // partials, if any, summed over the row family and moved to V).
-  DenseMatrix<T> combine_partials(const DenseMatrix<T>& col_c, DenseMatrix<T>* row_r) {
-    DenseMatrix<T> gamma_v, row_v;
+  void combine_partials(const DenseMatrix<T>& col_c, DenseMatrix<T>* row_r,
+                        DenseMatrix<T>& gamma_v) {
+    DenseMatrix<T> row_v;
     if (row_r) {
       layout_->reduce_rows(row_r->flat());
       layout_->to_input(*row_r, row_v);
@@ -610,7 +615,6 @@ class DistEngine {
       comm::ComputeRegion cr(world().stats());
       axpy(T(1), row_v, gamma_v);
     }
-    return gamma_v;
   }
 
   DistPolicy policy_;
@@ -619,6 +623,11 @@ class DistEngine {
   Workspace<T> ws_;                 // per-rank scratch pool
   std::vector<LayerCache> caches_;  // persistent training caches
   LayerCache infer_cache_;          // every inference layer's intermediates
+  // Persistent step state: the loss and its gradient, G on V and R, and
+  // every layer's gradients (Gamma in d_h_in).
+  LossResult<T> loss_;
+  DenseMatrix<T> g_, g_r_;
+  std::vector<LayerGrads<T>> grads_;
 };
 
 }  // namespace agnn::dist

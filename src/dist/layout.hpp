@@ -24,7 +24,9 @@
 //
 // The two predicates pick one copy of each replicated R or V block, so
 // sums over the global vertex set (weight gradients, the loss, the output
-// gather) count every row once.
+// gather) count every row once. The local formulation's ghost exchange is
+// one more A-stationary row layout over these primitives
+// (baseline/dist_local_engine.hpp): V = R = B(n,p,i), C = owned ∪ ghosts.
 #pragma once
 
 #include <algorithm>
@@ -108,7 +110,7 @@ class Layout {
 
   // Sum C-layout partials over the ranks sharing the column block and keep
   // this rank's V rows of the result.
-  void reduce_cols(const DenseMatrix<T>& x_c, DenseMatrix<T>& x_v) {
+  virtual void reduce_cols(const DenseMatrix<T>& x_c, DenseMatrix<T>& x_v) {
     const index_t k = x_c.cols();
     const index_t off = c_.begin - cfam_.begin;
     DenseMatrix<T>& full = col_scratch_;
@@ -139,12 +141,17 @@ class Layout {
   virtual void rows_to_input(std::span<const T> x_r, index_t k,
                              std::span<T> x_v) = 0;
 
-  // Extract the A block R x C and index its stages: `bounds` holds the
-  // C-relative first row of each stage's panel, then C's size.
-  void init_blocks(const CsrMatrix<T>& a_global, std::vector<index_t> bounds) {
+  // The A block R x C of the global adjacency.
+  CsrMatrix<T> block_of(const CsrMatrix<T>& a_global) const {
     AGNN_ASSERT(a_global.rows() == n_ && a_global.cols() == n_,
                 "adjacency must be square");
-    a_ = a_global.block(r_.begin, r_.end, c_.begin, c_.end);
+    return a_global.block(r_.begin, r_.end, c_.begin, c_.end);
+  }
+
+  // Keep the A block and index its stages: `bounds` holds the C-relative
+  // first row of each stage's panel, then C's size.
+  void init_blocks(CsrMatrix<T> block, std::vector<index_t> bounds) {
+    a_ = std::move(block);
     a_t_ = a_.transposed();
     bounds_ = std::move(bounds);
     const std::size_t stages = bounds_.size() - 1;
@@ -223,7 +230,7 @@ class RowLayout final : public Layout<T> {
     this->v_ = this->r_ = block_range(n, world.size(), world.rank());
     this->c_ = this->cfam_ = {0, n};
     this->col_comm_.emplace(world);
-    this->init_blocks(a_global, {0, n});
+    this->init_blocks(this->block_of(a_global), {0, n});
   }
 
   void assemble_cols(const DenseMatrix<T>& x_v, DenseMatrix<T>& x_c,
@@ -267,7 +274,7 @@ class SquareLayout final : public Layout<T> {
     this->owns_input_copy_ = gi == 0;
     this->row_comm_.emplace(world.split(gi, gj));
     this->col_comm_.emplace(world.split(grid_.q + gj, gi));
-    this->init_blocks(a_global, {0, this->c_.size()});
+    this->init_blocks(this->block_of(a_global), {0, this->c_.size()});
   }
 
   // C = V: the column operand is the input block itself.
@@ -342,7 +349,7 @@ class SummaLayout final : public Layout<T> {
       bounds[static_cast<std::size_t>(t)] =
           std::clamp(vb, this->c_.begin, this->c_.end) - this->c_.begin;
     }
-    this->init_blocks(a_global, std::move(bounds));
+    this->init_blocks(this->block_of(a_global), std::move(bounds));
   }
 
   void assemble_cols(const DenseMatrix<T>& x_v, DenseMatrix<T>& x_c,

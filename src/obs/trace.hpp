@@ -44,6 +44,7 @@
 
 #include "obs/metrics.hpp"
 #include "tensor/common.hpp"
+#include "tensor/env.hpp"
 
 namespace agnn::obs {
 
@@ -161,6 +162,16 @@ class ThreadBuffer {
 };
 
 }  // namespace detail
+
+inline constexpr std::size_t kDefaultTraceBufferEvents = std::size_t{1} << 16;
+
+// Events per recording thread's buffer: AGNN_TRACE_BUFFER, parsed by
+// positive_int_from_env, so "64k" throws instead of reading as 64. Unset or
+// empty keeps kDefaultTraceBufferEvents (65,536).
+inline std::size_t trace_buffer_capacity_from_env() {
+  const int events = positive_int_from_env("AGNN_TRACE_BUFFER");
+  return events > 0 ? static_cast<std::size_t>(events) : kDefaultTraceBufferEvents;
+}
 
 // Process-wide tracer. Enabled state is a relaxed atomic so the disabled
 // fast path is one load + branch; everything else only runs when enabled.
@@ -336,12 +347,7 @@ class Tracer {
   bool write_chrome_json_file(const std::string& path) const;
 
  private:
-  Tracer() {
-    if (const char* v = std::getenv("AGNN_TRACE_BUFFER")) {
-      const long n = std::atol(v);
-      if (n > 0) set_buffer_capacity(static_cast<std::size_t>(n));
-    }
-  }
+  Tracer() { set_buffer_capacity(trace_buffer_capacity_from_env()); }
 
   static std::atomic<bool>& enabled_flag() {
     static std::atomic<bool> on{false};
@@ -372,7 +378,7 @@ class Tracer {
   // ~3 MB per recording thread, so even a 64-rank sweep stays modest;
   // long traced runs raise it via AGNN_TRACE_BUFFER.
   std::vector<std::unique_ptr<detail::ThreadBuffer>> buffers_;
-  std::atomic<std::size_t> buffer_capacity_{1u << 16};
+  std::atomic<std::size_t> buffer_capacity_{kDefaultTraceBufferEvents};
 };
 
 // RAII scoped span. When tracing is disabled the constructor is one relaxed

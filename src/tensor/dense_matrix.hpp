@@ -108,14 +108,6 @@ class DenseMatrix {
     return out;
   }
 
-  // Write `block` into rows [begin, begin + block.rows()).
-  void set_rows(index_t begin, const DenseMatrix& block) {
-    AGNN_ASSERT(block.cols() == cols_, "column mismatch in set_rows");
-    AGNN_ASSERT(begin >= 0 && begin + block.rows() <= rows_, "row range out of bounds");
-    std::copy(block.data_.begin(), block.data_.end(),
-              data_.begin() + begin * cols_);
-  }
-
   template <typename U>
   DenseMatrix<U> cast() const {
     DenseMatrix<U> out(rows_, cols_);

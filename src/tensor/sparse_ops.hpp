@@ -328,40 +328,6 @@ CsrMatrix<T> row_softmax_backward(const CsrMatrix<T>& s, const CsrMatrix<T>& ds)
   return dx;
 }
 
-// out(i,j) = a(i,j) * scale_row(i) * scale_col(j): the virtual Hadamard
-// division by an outer product (AGNN's ⊘ n n^T) with scale vectors already
-// inverted by the caller.
-template <typename T>
-void scale_rows_cols(const CsrMatrix<T>& a, std::span<const T> scale_row,
-                     std::span<const T> scale_col, CsrMatrix<T>& out) {
-  AGNN_KERNEL_SCOPE("scale_rows_cols",
-                    2 * obs::csr_pass_bytes(
-                            static_cast<std::uint64_t>(a.nnz()),
-                            static_cast<std::uint64_t>(a.rows()), sizeof(T),
-                            sizeof(index_t)) +
-                        2 * static_cast<std::uint64_t>(a.nnz()) * sizeof(T));
-  AGNN_ASSERT(static_cast<index_t>(scale_row.size()) == a.rows(), "row scale size");
-  AGNN_ASSERT(static_cast<index_t>(scale_col.size()) == a.cols(), "col scale size");
-  if (&out != &a) out = a;
-  auto v = out.vals_mutable();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const T ri = scale_row[static_cast<std::size_t>(i)];
-    for (index_t t = a.row_begin(i); t < a.row_end(i); ++t) {
-      v[static_cast<std::size_t>(t)] *=
-          ri * scale_col[static_cast<std::size_t>(a.col_at(t))];
-    }
-  }
-}
-
-template <typename T>
-CsrMatrix<T> scale_rows_cols(const CsrMatrix<T>& a, std::span<const T> scale_row,
-                             std::span<const T> scale_col) {
-  CsrMatrix<T> out;
-  scale_rows_cols(a, scale_row, scale_col, out);
-  return out;
-}
-
 // X + X^T for a sparse matrix (the X_+ building block of Table 2, used by
 // the VA backward pass N_+ = N + N^T). The result's pattern is the union.
 template <typename T>

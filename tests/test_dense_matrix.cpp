@@ -93,22 +93,6 @@ TEST(DenseMatrix, SliceRowsFullAndEmpty) {
   EXPECT_EQ(m.slice_rows(1, 1).rows(), 0);
 }
 
-TEST(DenseMatrix, SetRowsWritesBlock) {
-  DenseMatrix<int> m(4, 2, 0);
-  DenseMatrix<int> blk(2, 2, std::vector<int>{9, 8, 7, 6});
-  m.set_rows(1, blk);
-  EXPECT_EQ(m(0, 0), 0);
-  EXPECT_EQ(m(1, 0), 9);
-  EXPECT_EQ(m(2, 1), 6);
-  EXPECT_EQ(m(3, 0), 0);
-}
-
-TEST(DenseMatrix, SetRowsOutOfRangeThrows) {
-  DenseMatrix<int> m(2, 2, 0);
-  DenseMatrix<int> blk(2, 2, 1);
-  EXPECT_THROW(m.set_rows(1, blk), std::logic_error);
-}
-
 TEST(DenseMatrix, CastConvertsElementwise) {
   DenseMatrix<double> m(2, 2, std::vector<double>{1.5, 2.5, 3.5, 4.5});
   auto f = m.cast<float>();

@@ -3,6 +3,7 @@
 // the message-passing communication pattern.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 
@@ -21,6 +22,8 @@ struct LocalCase {
   index_t n;
   index_t k;
   int layers;
+  std::int16_t heads = 1;      // GAT: concatenated heads of every hidden layer
+  std::int16_t out_heads = 1;  // GAT: averaged heads of the output layer
 };
 
 GnnConfig make_config(const LocalCase& p) {
@@ -28,6 +31,8 @@ GnnConfig make_config(const LocalCase& p) {
   cfg.kind = p.kind;
   cfg.in_features = p.k;
   cfg.layer_widths.assign(static_cast<std::size_t>(p.layers), p.k);
+  cfg.heads = p.heads;
+  cfg.out_heads = p.out_heads;
   cfg.hidden_activation = Activation::kTanh;
   cfg.seed = 888;
   return cfg;
@@ -91,6 +96,12 @@ TEST_P(DistLocalSweep, TrainingMatchesSequential) {
       for (index_t i = 0; i < w_seq.size(); ++i) {
         ASSERT_NEAR(w_dist.data()[i], w_seq.data()[i], 1e-8);
       }
+      const auto& a_dist = model.layer(l).attention_params();
+      const auto& a_seq = seq_model.layer(l).attention_params();
+      ASSERT_EQ(a_dist.size(), a_seq.size());
+      for (std::size_t i = 0; i < a_seq.size(); ++i) {
+        ASSERT_NEAR(a_dist[i], a_seq[i], 1e-8) << "layer " << l;
+      }
     }
   });
 }
@@ -109,34 +120,20 @@ INSTANTIATE_TEST_SUITE_P(
                       LocalCase{ModelKind::kGCN, 7, 30, 3, 2},
                       LocalCase{ModelKind::kGIN, 3, 22, 4, 2},
                       LocalCase{ModelKind::kGIN, 5, 23, 3, 2},
-                      LocalCase{ModelKind::kGAT, 7, 30, 3, 2}),
+                      LocalCase{ModelKind::kGAT, 7, 30, 3, 2},
+                      // Attention heads: 3 concatenated hidden, 2 averaged output.
+                      LocalCase{ModelKind::kGAT, 1, 20, 4, 2, 3, 2},
+                      LocalCase{ModelKind::kGAT, 3, 22, 4, 2, 3, 2},
+                      LocalCase{ModelKind::kGAT, 5, 23, 3, 2, 3, 2}),
     [](const auto& tpi) {
-      return std::string(to_string(tpi.param.kind)) + "_p" +
-             std::to_string(tpi.param.ranks) + "_n" + std::to_string(tpi.param.n) +
-             "_L" + std::to_string(tpi.param.layers);
+      const auto& p = tpi.param;
+      std::string heads;
+      if (p.heads > 1 || p.out_heads > 1) {
+        heads = "_h" + std::to_string(p.heads) + "x" + std::to_string(p.out_heads);
+      }
+      return std::string(to_string(p.kind)) + heads + "_p" + std::to_string(p.ranks) +
+             "_n" + std::to_string(p.n) + "_L" + std::to_string(p.layers);
     });
-
-// The ghost-exchange engine is the single-head DistDGL stand-in: a GAT
-// model with attention heads is refused on every rank, naming the count.
-TEST(DistLocal, RefusesAttentionHeads) {
-  const auto g = testing::small_graph<double>(12, 50, 7);
-  comm::SpmdRuntime::run(2, [&](comm::Communicator& world) {
-    GnnConfig cfg;
-    cfg.kind = ModelKind::kGAT;
-    cfg.in_features = 3;
-    cfg.layer_widths = {3};
-    cfg.out_heads = 2;
-    GnnModel<double> model(cfg);
-    try {
-      DistLocalEngine<double> engine(world, g.adj, model);
-      ADD_FAILURE() << "expected the head count to be refused";
-    } catch (const std::logic_error& e) {
-      EXPECT_NE(std::string(e.what()).find("one attention head, layer 0 has 2"),
-                std::string::npos)
-          << e.what();
-    }
-  });
-}
 
 TEST(DistLocal, GhostCountMatchesRemoteNeighborSet) {
   const index_t n = 30;
@@ -167,7 +164,8 @@ TEST(DistLocal, GhostCountMatchesRemoteNeighborSet) {
 
 TEST(DistLocal, VolumeScalesWithGhostsTimesFeatures) {
   // One forward layer must move ~ghosts * k words per rank (plus the k^2
-  // parameter broadcast) — the Theta(nkd/p) local-formulation cost.
+  // parameter broadcast) — the Theta(nkd/p) local-formulation cost. A
+  // training step's backward scatters the same ghost rows back.
   const index_t n = 48, k = 8;
   const auto g = testing::small_graph<double>(n, 600, 53);
   const auto x = testing::random_dense<double>(n, k, 55);
@@ -177,11 +175,21 @@ TEST(DistLocal, VolumeScalesWithGhostsTimesFeatures) {
   cfg.layer_widths = {k};
   cfg.seed = 3;
 
+  std::vector<index_t> labels(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i % k;
+
   const auto stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
     GnnModel<double> model(cfg);
     DistLocalEngine<double> engine(world, graph::sym_normalize(g.adj), model);
     comm::reset_all_stats(world);
     engine.forward(x, nullptr);
+  });
+  const auto step_stats = comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
+    GnnModel<double> model(cfg);
+    DistLocalEngine<double> engine(world, graph::sym_normalize(g.adj), model);
+    SgdOptimizer<double> opt(0.05);
+    comm::reset_all_stats(world);
+    engine.train_step(x, labels, opt);
   });
   // Total ghost fetch volume: every rank's ghosts were pulled from owners.
   std::uint64_t total_ghosts = 0;
@@ -200,6 +208,12 @@ TEST(DistLocal, VolumeScalesWithGhostsTimesFeatures) {
   const std::uint64_t expected_ghost_bytes = total_ghosts * k * sizeof(double);
   const std::uint64_t param_bytes = 4 * (k * k) * sizeof(double);  // bcast per rank
   EXPECT_EQ(comm::total_bytes_sent(stats), expected_ghost_bytes + param_bytes);
+  // The step: the forward, the scalar loss allreduce, then the ghost scatter
+  // (the same rows, each sent back once) and the dW allreduce (2 k^2 per rank).
+  const std::uint64_t loss_bytes = 4 * 2 * sizeof(double);
+  const std::uint64_t grad_bytes = 4 * 2 * (k * k) * sizeof(double);
+  EXPECT_EQ(comm::total_bytes_sent(step_stats),
+            2 * expected_ghost_bytes + param_bytes + loss_bytes + grad_bytes);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <map>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -412,6 +413,27 @@ TEST(TraceBuffer, DropNewestPreservesBalance) {
   EXPECT_LE(ev.size(), 64u);
   EXPECT_GT(Tracer::instance().dropped_events(), 0u);
   expect_balanced(ev);
+}
+
+// AGNN_TRACE_BUFFER is parsed strictly: a value that is not exactly a
+// positive decimal integer throws, naming the variable.
+TEST(TraceBuffer, CapacityEnvIsParsedStrictly) {
+  for (const char* bad : {"64k", "abc", "0", "-1", " 8", "2.5"}) {
+    ASSERT_EQ(setenv("AGNN_TRACE_BUFFER", bad, 1), 0);
+    try {
+      obs::trace_buffer_capacity_from_env();
+      ADD_FAILURE() << "AGNN_TRACE_BUFFER='" << bad << "' must throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("AGNN_TRACE_BUFFER"), std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(setenv("AGNN_TRACE_BUFFER", "100000", 1), 0);
+  EXPECT_EQ(obs::trace_buffer_capacity_from_env(), 100000u);
+  ASSERT_EQ(setenv("AGNN_TRACE_BUFFER", "", 1), 0);
+  EXPECT_EQ(obs::trace_buffer_capacity_from_env(), 65536u);
+  unsetenv("AGNN_TRACE_BUFFER");
+  EXPECT_EQ(obs::trace_buffer_capacity_from_env(), 65536u);
 }
 
 TEST(Metrics, CountersAndGauges) {

@@ -172,7 +172,7 @@ struct SweepInputs {
   CsrMatrix<double> a, at;
   DenseMatrix<double> h;
   DenseMatrix<double> x;
-  std::vector<double> s1, s2, row_scale, col_scale, m_vals;
+  std::vector<double> s1, s2, m_vals;
 };
 
 SweepInputs make_inputs(int family) {
@@ -184,12 +184,8 @@ SweepInputs make_inputs(int family) {
   Rng rng(151);
   in.s1.resize(static_cast<std::size_t>(n));
   in.s2.resize(static_cast<std::size_t>(n));
-  in.row_scale.resize(static_cast<std::size_t>(n));
-  in.col_scale.resize(static_cast<std::size_t>(n));
   for (auto& v : in.s1) v = rng.next_uniform(-1, 1);
   for (auto& v : in.s2) v = rng.next_uniform(-1, 1);
-  for (auto& v : in.row_scale) v = rng.next_uniform(0.5, 2.0);
-  for (auto& v : in.col_scale) v = rng.next_uniform(0.5, 2.0);
   in.at = in.a.transposed();
   in.m_vals.resize(static_cast<std::size_t>(in.a.nnz()));
   for (auto& v : in.m_vals) v = rng.next_uniform(-1, 1);
@@ -202,7 +198,7 @@ struct SweepOutputs {
   DenseMatrix<double> spmm_out, acc_out, agg_min, agg_max, agg_mean;
   DenseMatrix<double> spmm_t, acc_t;
   DenseMatrix<double> fused_va, fused_gat;
-  CsrMatrix<double> sddmm_out, sddmm_unw, scaled, softmax, softmax_dx;
+  CsrMatrix<double> sddmm_out, sddmm_unw, softmax, softmax_dx;
   CsrMatrix<double> va, agnn, gat_scores, gat_psi;
   std::vector<double> row_sums;
 };
@@ -221,7 +217,6 @@ SweepOutputs run_all_kernels(const SweepInputs& in) {
   aggregate(in.a, in.h, Aggregation::kMean, o.agg_mean);
   sddmm(in.a, in.h, in.h, o.sddmm_out);
   sddmm_unweighted(in.a, in.h, in.h, o.sddmm_unw);
-  scale_rows_cols<double>(in.a, in.row_scale, in.col_scale, o.scaled);
   sparse_row_sums(in.a, o.row_sums);
   // The softmax pair runs on the SDDMM scores, backward on a perturbed
   // upstream gradient.
@@ -241,7 +236,7 @@ SweepOutputs run_all_kernels(const SweepInputs& in) {
   return o;
 }
 
-// The 19 outputs as named value arrays.
+// The 18 outputs as named value arrays.
 std::vector<std::pair<const char*, std::span<const double>>> named_values(
     const SweepOutputs& o) {
   return {{"spmm", o.spmm_out.flat()},
@@ -255,7 +250,6 @@ std::vector<std::pair<const char*, std::span<const double>>> named_values(
           {"fused_gat_aggregate", o.fused_gat.flat()},
           {"sddmm", o.sddmm_out.vals()},
           {"sddmm_unweighted", o.sddmm_unw.vals()},
-          {"scale_rows_cols", o.scaled.vals()},
           {"row_softmax", o.softmax.vals()},
           {"row_softmax_backward", o.softmax_dx.vals()},
           {"psi_va", o.va.vals()},

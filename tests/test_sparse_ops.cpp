@@ -171,23 +171,6 @@ TEST(SparseOps, SoftmaxBackwardMatchesFiniteDifferences) {
   }
 }
 
-TEST(SparseOps, ScaleRowsCols) {
-  const auto a = random_sparse<double>(6, 0.5, 31);
-  std::vector<double> r(6), c(6);
-  for (int i = 0; i < 6; ++i) {
-    r[static_cast<std::size_t>(i)] = i + 1.0;
-    c[static_cast<std::size_t>(i)] = 1.0 / (i + 2.0);
-  }
-  const auto out = scale_rows_cols<double>(a, r, c);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    for (index_t e = a.row_begin(i); e < a.row_end(i); ++e) {
-      EXPECT_DOUBLE_EQ(out.val_at(e),
-                       a.val_at(e) * r[static_cast<std::size_t>(i)] *
-                           c[static_cast<std::size_t>(a.col_at(e))]);
-    }
-  }
-}
-
 TEST(SparseOps, AddTransposeMatchesDense) {
   const auto a = random_sparse<double>(15, 0.2, 37);
   const auto ap = add_transpose(a);

@@ -290,7 +290,8 @@ TEST(VolumeModel, LocalEnginePredictionMatchesMeasuredExactly) {
   const auto g = testing::small_graph<double>(n, 250, 13);
   const auto x = testing::random_dense<double>(n, k, 15);
   for (const int ranks : {2, 3, 4}) {
-    for (const ModelKind kind : {ModelKind::kGCN, ModelKind::kVA, ModelKind::kGAT}) {
+    for (const ModelKind kind : {ModelKind::kGCN, ModelKind::kVA, ModelKind::kAGNN,
+                                 ModelKind::kGIN, ModelKind::kGAT}) {
       const CsrMatrix<double> adj =
           kind == ModelKind::kGCN ? graph::sym_normalize(g.adj) : g.adj;
       const auto stats =
@@ -301,7 +302,8 @@ TEST(VolumeModel, LocalEnginePredictionMatchesMeasuredExactly) {
             engine.forward(x, nullptr);
           });
       const double predicted = predicted_local_forward_bytes(
-          adj, ranks, k, /*has_attention_vector=*/kind == ModelKind::kGAT);
+          adj, ranks, k, /*has_attention_vector=*/kind == ModelKind::kGAT,
+          /*has_second_matrix=*/kind == ModelKind::kGIN);
       EXPECT_EQ(static_cast<double>(comm::max_bytes_sent(stats)), predicted)
           << to_string(kind) << " p=" << ranks;
     }
